@@ -447,10 +447,12 @@ func (e *Engine) finish(t *task, res *Result, err error, wall time.Duration, cac
 }
 
 // complete publishes the ticket outcome and emits the terminal
-// event; the in-flight table must already be updated.
+// event; the in-flight table must already be updated. Ticket holders wake
+// only after the stats and the terminal event are recorded, so a Stats call
+// made once Wait returns already counts the job.
 func (e *Engine) complete(t *task, res *Result, err error, wall time.Duration, cached bool) {
 	t.res, t.err = res, err
-	close(t.done)
+	defer close(t.done)
 	switch {
 	case err != nil:
 		e.stats.failed.Add(1)

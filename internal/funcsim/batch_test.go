@@ -217,7 +217,7 @@ func TestRunBatchPCEscape(t *testing.T) {
 func TestStreamFill(t *testing.T) {
 	p := allOpcodeProgram()
 	want, _ := collectScalar(t, p)
-	st := NewStream(New(p), make([]trace.DynInst, 16))
+	st := NewStream(New(p), make([]trace.DynInst, 16), nil)
 	var got []trace.DynInst
 	for i := 0; ; i++ {
 		max := uint64(1 + i%7)
@@ -247,7 +247,7 @@ func TestStreamFillReportsFault(t *testing.T) {
 	b := prog.NewBuilder("t")
 	b.Li(1, 0x10)
 	b.Jr(1)
-	st := NewStream(New(b.MustBuild()), nil)
+	st := NewStream(New(b.MustBuild()), nil, nil)
 	if ds := st.Fill(100); len(ds) != 2 {
 		t.Fatalf("Fill = %d records, want 2", len(ds))
 	}
@@ -347,5 +347,23 @@ func TestRunBatchesZeroAllocs(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("observer never ran")
+	}
+}
+
+// TestStreamFillCanceled pins the stream's cancel poll: once the channel is
+// closed the next Fill executes nothing and Err reports ErrCanceled.
+func TestStreamFillCanceled(t *testing.T) {
+	cancel := make(chan struct{})
+	sim := New(allOpcodeProgram())
+	st := NewStream(sim, nil, cancel)
+	if ds := st.Fill(4); len(ds) != 4 {
+		t.Fatalf("Fill = %d records before cancel, want 4", len(ds))
+	}
+	close(cancel)
+	if ds := st.Fill(4); len(ds) != 0 || st.Err() != ErrCanceled {
+		t.Fatalf("Fill after cancel = %d records, err %v; want 0, ErrCanceled", len(ds), st.Err())
+	}
+	if sim.Seq() != 4 {
+		t.Fatalf("canceled stream executed to %d, want 4", sim.Seq())
 	}
 }

@@ -192,30 +192,53 @@ func (s *Sim) Step() (trace.DynInst, error) {
 	return d, nil
 }
 
+// ErrCanceled ends a Stream whose cancel channel was closed.
+var ErrCanceled = errors.New("run canceled")
+
 // Stream adapts a Sim to batch consumers such as the timing model: each Fill
 // call executes up to max instructions (bounded by the buffer) and returns
 // the freshly committed records. It satisfies ooo.Source structurally without
-// this package importing the timing model.
+// this package importing the timing model. It is the one adapter between the
+// functional simulator and the timing model.
 type Stream struct {
-	sim *Sim
-	buf []trace.DynInst
-	err error
+	sim    *Sim
+	buf    []trace.DynInst
+	cancel <-chan struct{}
+	err    error
 }
 
 // NewStream returns a Stream over sim filling buf (BatchSize records when buf
-// is nil).
-func NewStream(sim *Sim, buf []trace.DynInst) *Stream {
+// is nil). When cancel is non-nil, Fill polls it once per batch and ends the
+// stream with ErrCanceled once it is closed.
+func NewStream(sim *Sim, buf []trace.DynInst, cancel <-chan struct{}) *Stream {
 	if buf == nil {
 		buf = make([]trace.DynInst, BatchSize)
 	}
-	return &Stream{sim: sim, buf: buf}
+	return &Stream{sim: sim, buf: buf, cancel: cancel}
+}
+
+// Closed reports whether cancel (which may be nil) has been closed.
+func Closed(cancel <-chan struct{}) bool {
+	if cancel == nil {
+		return false
+	}
+	select {
+	case <-cancel:
+		return true
+	default:
+		return false
+	}
 }
 
 // Fill executes and returns the next batch, at most max instructions. An
-// empty batch ends the stream (halt or fault); Err distinguishes the two.
-// The returned slice is only valid until the next Fill.
+// empty batch ends the stream (halt, fault or cancellation); Err tells them
+// apart. The returned slice is only valid until the next Fill.
 func (st *Stream) Fill(max uint64) []trace.DynInst {
 	if st.err != nil {
+		return nil
+	}
+	if Closed(st.cancel) {
+		st.err = ErrCanceled
 		return nil
 	}
 	b := st.buf
@@ -229,7 +252,7 @@ func (st *Stream) Fill(max uint64) []trace.DynInst {
 	return b[:n]
 }
 
-// Err reports the execution fault that ended the stream, if any.
+// Err reports the fault or cancellation that ended the stream, if any.
 func (st *Stream) Err() error { return st.err }
 
 // Delta is an architectural checkpoint: full register state plus every

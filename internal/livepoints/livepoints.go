@@ -138,7 +138,7 @@ func (s *Set) Replay(cpu ooo.Config) (*ReplayResult, error) {
 	fs := funcsim.New(s.Program)
 
 	res := &ReplayResult{}
-	st := funcsim.NewStream(fs, nil)
+	st := funcsim.NewStream(fs, nil, nil)
 	for i := range s.Points {
 		pt := &s.Points[i]
 		fs.ApplyDelta(pt.Arch)

@@ -155,20 +155,20 @@ func (s RankedSet) Run(p Params) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := measureRegions(p, plan.Regions)
+	res, err := measure(p, plan.Regions, 1)
 	if err != nil {
 		return nil, err
 	}
-	ms := measured(plan.Regions, pr)
+	ms := measured(plan.Regions, res)
 	out := &Outcome{
 		Strategy:         s.Name(),
 		Estimate:         ipcFromCPI(stats.CI95(cpisOf(ms))),
 		Regions:          ms,
 		Plan:             *plan,
 		Elapsed:          time.Since(begin),
-		Work:             pr.Work,
-		FuncInstructions: pr.FuncInstructions,
-		HotInstructions:  pr.HotInstructions,
+		Work:             res.Work,
+		FuncInstructions: res.FuncInstructions,
+		HotInstructions:  res.HotInstructions,
 	}
 	p.Instr.record(out)
 	return out, nil

@@ -4,11 +4,16 @@
 // between them, and the IPC estimator that turns the measurements into a
 // point estimate with a confidence interval.
 //
+// Strategies own selection and estimation only. Every Run is Select, then
+// one or more passes through sampling.Measure — the skip-then-measure kernel
+// shared with the sampling entry points and the SimPoint baseline — then the
+// strategy's estimator.
+//
 // Five strategies are registered:
 //
 //   - stratified-uniform: the paper's design — stratified-uniform placement,
-//     mean-cluster-CPI estimator. It delegates to sampling.RunSampledOpts, so
-//     its results are byte-identical to the pre-strategy code path (pinned by
+//     mean-cluster-CPI estimator. Its plan is sampling.Positions, so its
+//     results are byte-identical to sampling.RunSampledOpts (pinned by
 //     TestStratifiedUniformByteIdentical).
 //   - simpoint: the SimPoint baseline — BBV profiling, k-means selection,
 //     weighted-IPC estimate. Delegates to simpoint.Estimate (byte-identity
@@ -61,9 +66,13 @@ type Params struct {
 	// closed; strategies poll it at batch granularity like the sampling
 	// package does.
 	Cancel <-chan struct{}
-	// Shards forwards intra-run cluster parallelism to strategies that
-	// execute through the sampling pipeline (currently stratified-uniform;
-	// the others run their measurement passes sequentially).
+	// Shards forwards intra-run cluster parallelism to sampling.Options. Only
+	// stratified-uniform forwards it; ranked-set, repeated-subsampling,
+	// two-phase-stratified and simpoint measure sequentially. The shard
+	// pipeline materializes every region's detailed record stream and keeps
+	// per-shard buffers, so one gcc R$BP run at 2M instructions allocated
+	// about 20x the heap sharded (96.8 MB against 4.7 MB); the other
+	// strategies stay sequential until sharding them pays for that.
 	Shards int
 	// Instr, when non-nil, records per-strategy selection and allocation
 	// metrics. Nil disables recording; results are identical either way.

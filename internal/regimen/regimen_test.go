@@ -124,6 +124,34 @@ func TestRepeatedSubsamplingPlacementMatchesBaseline(t *testing.T) {
 			t.Fatalf("region %d draw = %d", i, plan.Regions[i].Draw)
 		}
 	}
+
+	// Same positions → the same measurements. Repeated subsampling measures
+	// sequentially through the kernel whatever Params.Shards says, while
+	// stratified-uniform forwards Shards to the parallel pipeline, so this
+	// also pins that the two kernel paths agree.
+	for _, shards := range []int{1, 2} {
+		p.Shards = shards
+		rs, err := RepeatedSubsampling{}.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		su, err := StratifiedUniform{}.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Regions) != len(su.Regions) {
+			t.Fatalf("shards=%d: regions = %d, baseline = %d", shards, len(rs.Regions), len(su.Regions))
+		}
+		for i := range rs.Regions {
+			if rs.Regions[i].Result != su.Regions[i].Result {
+				t.Fatalf("shards=%d: region %d result diverged:\n%+v\n%+v",
+					shards, i, rs.Regions[i].Result, su.Regions[i].Result)
+			}
+		}
+		if rs.Work != su.Work {
+			t.Fatalf("shards=%d: work = %+v, baseline %+v", shards, rs.Work, su.Work)
+		}
+	}
 }
 
 func TestAllStrategiesRunAndAreDeterministic(t *testing.T) {
@@ -187,7 +215,7 @@ func TestRunCanceled(t *testing.T) {
 	close(done)
 	for _, s := range All() {
 		if s.Name() == "simpoint" {
-			continue // the baseline delegates to simpoint.Estimate, which predates cancellation
+			continue // simpoint.Config carries no cancel channel
 		}
 		p := testParams(t, "twolf")
 		p.Cancel = done

@@ -70,11 +70,11 @@ func (s RepeatedSubsampling) Run(p Params) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := measureRegions(p, plan.Regions)
+	res, err := measure(p, plan.Regions, 1)
 	if err != nil {
 		return nil, err
 	}
-	ms := measured(plan.Regions, pr)
+	ms := measured(plan.Regions, res)
 
 	// Per-draw mean CPI; a draw whose every region retired nothing (possible
 	// only on truncated workloads) contributes no mean.
@@ -101,9 +101,9 @@ func (s RepeatedSubsampling) Run(p Params) (*Outcome, error) {
 		Regions:          ms,
 		Plan:             *plan,
 		Elapsed:          time.Since(begin),
-		Work:             pr.Work,
-		FuncInstructions: pr.FuncInstructions,
-		HotInstructions:  pr.HotInstructions,
+		Work:             res.Work,
+		FuncInstructions: res.FuncInstructions,
+		HotInstructions:  res.HotInstructions,
 	}
 	p.Instr.record(out)
 	return out, nil

@@ -9,11 +9,11 @@ import (
 
 // StratifiedUniform is the paper's design re-expressed through the strategy
 // seam: stratified-uniform cluster placement, the configured warm-up method
-// between clusters, and the mean-cluster-CPI estimator with its CI95. Run
-// delegates to sampling.RunSampledOpts, so every result — cluster positions,
-// per-cluster cycle counts, work counters — is byte-identical to the
-// pre-strategy code path (and the parallel shard pipeline stays available
-// through Params.Shards).
+// between clusters, and the mean-cluster-CPI estimator with its CI95. Its
+// plan is sampling.Positions and it measures through sampling.Measure, so
+// every result — cluster positions, per-cluster cycle counts, work counters
+// — is byte-identical to sampling.RunSampledOpts. It is the one strategy
+// that forwards Params.Shards to the parallel pipeline.
 type StratifiedUniform struct{}
 
 // Name implements Strategy.
@@ -38,28 +38,26 @@ func (StratifiedUniform) Select(p Params) (*Plan, error) {
 	return &Plan{Regions: regions, Candidates: len(regions), Strata: len(regions)}, nil
 }
 
-// Run implements Strategy by delegating to the sampling pipeline.
+// Run implements Strategy.
 func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
+	begin := time.Now()
 	plan, err := s.Select(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sampling.RunSampledOpts(p.Program, p.Machine, p.Regimen, p.Total, p.Seed, p.Warmup,
-		sampling.Options{Cancel: p.Cancel, Shards: p.Shards})
+	res, err := measure(p, plan.Regions, p.Shards)
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{
 		Strategy:         s.Name(),
 		Estimate:         Estimate{IPC: res.IPCEstimate(), CI: res.CI(), Space: "CPI"},
+		Regions:          measured(plan.Regions, res),
 		Plan:             *plan,
-		Elapsed:          res.Elapsed,
+		Elapsed:          time.Since(begin),
 		Work:             res.Work,
 		FuncInstructions: res.FuncInstructions,
 		HotInstructions:  res.HotInstructions,
-	}
-	for i, c := range res.Clusters {
-		out.Regions = append(out.Regions, Measured{Region: plan.Regions[i], Result: c.Result})
 	}
 	p.Instr.record(out)
 	return out, nil
@@ -69,8 +67,9 @@ func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
 // profiling at ClusterSize granularity, k-means selection of NumClusters
 // representative intervals, weighted-IPC estimation. Run delegates to
 // simpoint.Estimate, so results are byte-identical to the standalone
-// baseline. SimPoint's estimator is a weighted point estimate with no
-// sampling-theory interval, so the CI is zero-width around the estimate.
+// baseline, which measures through sampling.Measure like every strategy.
+// SimPoint's estimator is a weighted point estimate with no sampling-theory
+// interval, so the CI is zero-width around the estimate.
 type SimPoint struct{}
 
 // Name implements Strategy.

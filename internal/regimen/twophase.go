@@ -53,9 +53,9 @@ func (TwoPhaseStratified) strataFor(p Params, intervals int) int {
 
 // stratification is the profiling-pass product shared by Select and Run.
 type stratification struct {
-	members [][]int   // members[h] = ascending interval indices of stratum h
-	weights []float64 // W_h = population share of stratum h
-	covered uint64    // profiled instructions
+	members    [][]int   // members[h] = ascending interval indices of stratum h
+	weights    []float64 // W_h = population share of stratum h
+	covered    uint64    // profiled instructions
 	nIntervals int
 }
 
@@ -183,11 +183,11 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 	k := len(st.members)
 	used := map[int]bool{}
 	pilot := s.pilotPlan(p, st, used)
-	pilotPR, err := measureRegions(p, pilot)
+	pilotRes, err := measure(p, pilot, 1)
 	if err != nil {
 		return nil, err
 	}
-	pilotMS := measured(pilot, pilotPR)
+	pilotMS := measured(pilot, pilotRes)
 
 	// Pilot variance per stratum drives the Neyman scores W_h·S_h. Strata
 	// whose pilot saw <2 regions report zero deviation; if every score is
@@ -255,17 +255,17 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 	}
 	refine := s.regionsOf(p, picks)
 	var refineMS []Measured
-	work := pilotPR.Work
-	funcInstr, hotInstr := pilotPR.FuncInstructions, pilotPR.HotInstructions
+	work := pilotRes.Work
+	funcInstr, hotInstr := pilotRes.FuncInstructions, pilotRes.HotInstructions
 	if len(refine) > 0 {
-		refinePR, err := measureRegions(p, refine)
+		refineRes, err := measure(p, refine, 1)
 		if err != nil {
 			return nil, err
 		}
-		refineMS = measured(refine, refinePR)
-		work = addWork(work, refinePR.Work)
-		funcInstr += refinePR.FuncInstructions
-		hotInstr += refinePR.HotInstructions
+		refineMS = measured(refine, refineRes)
+		work = addWork(work, refineRes.Work)
+		funcInstr += refineRes.FuncInstructions
+		hotInstr += refineRes.HotInstructions
 	}
 
 	for _, m := range refineMS {

@@ -74,7 +74,7 @@ func NewInstruments(r *obs.Registry) *Instruments {
 	}
 	return &Instruments{
 		phaseInstr: r.CounterVec("rsr_sampling_phase_instructions_total",
-			"Instructions executed per sampling phase (cold = functionally skipped, warm = unmeasured detailed warm-up, hot = measured cluster).",
+			"Instructions executed per sampling phase (cold = functionally skipped, warm = unmeasured detailed warm-up, hot = measured cluster, full = full-detail baseline run).",
 			"phase"),
 		phaseDur: r.HistogramVec("rsr_sampling_phase_seconds",
 			"Per-cluster phase latency by span name.",
@@ -142,8 +142,8 @@ type runObs struct {
 	// Parallel-pipeline accounting. parallel is set once by runParallel via
 	// setParallel; the sequential path leaves it false so the stage counters
 	// stay absent (not zero) when no parallel run ever happened.
-	parallel bool
-	waitDur  *obs.Histogram
+	parallel                                          bool
+	waitDur                                           *obs.Histogram
 	pipeColdP, pipeSeal, pipeWait, pipeAdopt, pipeSim *obs.Counter
 
 	prevWork warmup.Work
@@ -320,14 +320,16 @@ func (ro *runObs) hotDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wor
 		obs.SpanArg{Key: "scanned", Val: int64(d.ReconScanned)})
 }
 
-// fullDone records a complete detailed simulation as one hot span.
+// fullDone records a complete detailed simulation as one full-sim span. Its
+// instructions count under phase="full", never "hot": hot is what sampled
+// clusters measured.
 func (ro *runObs) fullDone(t0 time.Time, instrs uint64) {
 	if ro == nil {
 		return
 	}
 	dur := time.Since(t0)
-	ro.hotInstr.Add(instrs)
 	if ro.in != nil {
+		ro.in.phaseInstr.With("full").Add(instrs)
 		ro.in.phaseDur.With(PhaseFullSim).Observe(dur.Seconds())
 	}
 	ro.span(PhaseFullSim, t0, dur,

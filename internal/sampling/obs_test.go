@@ -243,7 +243,9 @@ func TestConcurrentInstrumentedRuns(t *testing.T) {
 }
 
 // TestFullRunInstrumented checks the full-simulation path: one full-sim span,
-// a "full" run count, and no warm-up series for a method-less run.
+// a "full" run count, its instructions under phase="full" and none under
+// "hot" (which counts only measured clusters), and no warm-up series for a
+// method-less run.
 func TestFullRunInstrumented(t *testing.T) {
 	w, err := workload.ByName("parser")
 	if err != nil {
@@ -260,8 +262,18 @@ func TestFullRunInstrumented(t *testing.T) {
 	if n := seriesValue(t, snaps, "rsr_sampling_runs_total", map[string]string{"kind": "full"}); n != 1 {
 		t.Fatalf("full run counter = %v, want 1", n)
 	}
-	if n := seriesValue(t, snaps, "rsr_sampling_phase_instructions_total", map[string]string{"phase": "hot"}); uint64(n) != res.Result.Instructions {
-		t.Fatalf("hot counter = %v, want %d", n, res.Result.Instructions)
+	if n := seriesValue(t, snaps, "rsr_sampling_phase_instructions_total", map[string]string{"phase": "full"}); uint64(n) != res.Result.Instructions {
+		t.Fatalf("full counter = %v, want %d", n, res.Result.Instructions)
+	}
+	for _, m := range snaps {
+		if m.Name != "rsr_sampling_phase_instructions_total" {
+			continue
+		}
+		for _, s := range m.Series {
+			if s.Labels["phase"] == "hot" && s.Value != 0 {
+				t.Fatalf("full run recorded %v hot instructions, want 0", s.Value)
+			}
+		}
 	}
 	for _, m := range snaps {
 		if m.Name == "rsr_warmup_logged_records_total" {

@@ -17,6 +17,7 @@
 package sampling
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -63,7 +64,7 @@ type regionProduct struct {
 	dw      uint64 // detailed-warm-up length (min(opts.DetailedWarmup, skip))
 	coldRan uint64 // instructions actually cold-skipped
 	coldDur time.Duration
-	sealDur time.Duration // shard-side reverse-scan planning time (0 if unsealed)
+	sealDur time.Duration // shard-side reverse-scan planning time
 	err     error         // cold-phase failure (fault or premature halt)
 
 	capture warmup.RegionCapture
@@ -149,7 +150,7 @@ func (s *shardTrace) span(name string, t0 time.Time, args ...obs.SpanArg) {
 // one region ahead of the consumer, and the consumer (this goroutine)
 // adopts each capture into the shared method, applies its plan, and replays
 // the materialized records through the shared timing model.
-func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierarchy, unit *bpred.Unit, method warmup.Method, sim *ooo.Sim, shards int, opts Options) (*RunResult, error) {
+func runParallel(p *prog.Program, starts []uint64, size uint64, hier *mem.Hierarchy, unit *bpred.Unit, method warmup.Method, sim *ooo.Sim, shards int, opts Options) (*RunResult, error) {
 	res := &RunResult{Method: method.Name()}
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
 	ro.setParallel()
@@ -163,7 +164,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 	// also exactly where the sequential run's position would be stuck.
 	seedPos := make([]uint64, shards)
 	for s := 1; s < shards; s++ {
-		seedPos[s] = starts[firstOf(s)-1] + reg.ClusterSize
+		seedPos[s] = starts[firstOf(s)-1] + size
 	}
 
 	done := make(chan struct{})
@@ -285,7 +286,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 			}
 			buf := make([]trace.DynInst, funcsim.BatchSize)
 			for i := first; i < last; i++ {
-				prod := produceRegion(fs, buf, i, starts[i], reg.ClusterSize, method, &opts, stopped)
+				prod := produceRegion(fs, buf, i, starts[i], size, method, &opts, stopped)
 				if prod == nil {
 					return // canceled
 				}
@@ -340,7 +341,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 	}()
 
 	// Consumer: all shared-state mutation, in strict cluster order. This
-	// loop is the sequential loop of runSampled with the cold work replaced
+	// loop is the sequential loop of Measure with the cold work replaced
 	// by adoption of the shard's capture (and its sealed plan) and the
 	// functional stream replaced by replay of the shard's materialized
 	// records. The receive from the prefetcher is the only place the
@@ -394,7 +395,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		}
 
 		t0 = ro.begin()
-		r := sim.SimulateSource(reg.ClusterSize, rp)
+		r := sim.SimulateSource(size, rp)
 		if rp.err != nil {
 			return nil, fmt.Errorf("sampling: hot phase: %w", rp.err)
 		}
@@ -410,58 +411,30 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 }
 
 // produceRegion runs one region's shard-side work on a private functional
-// simulator: cold-skip the region with observation into a fresh capture,
-// seal the capture (running the reverse scan and planning reconstruction on
-// this shard, off the consumer's critical path), then materialize the
-// committed records of the detailed-warm-up and hot phases. It mirrors the
-// sequential controller's cold loop exactly — including its failure modes —
-// and returns nil only when canceled.
+// simulator: cold-skip the region with observation into a fresh capture
+// (through the same coldSkip as the sequential path, so failure modes
+// match), seal the capture (running the reverse scan and planning
+// reconstruction on this shard, off the consumer's critical path), then
+// materialize the committed records of the detailed-warm-up and hot phases.
+// It returns nil only when canceled.
 func produceRegion(fs *funcsim.Sim, buf []trace.DynInst, region int, start, clusterSize uint64, method warmup.Method, opts *Options, stopped func() bool) *regionProduct {
-	pos := fs.Seq()
-	skip := start - pos
-	dw := opts.DetailedWarmup
-	if dw > skip {
-		dw = skip
-	}
-	cold := skip - dw
-
+	dw, cold := splitSkip(start-fs.Seq(), opts.DetailedWarmup)
 	prod := &regionProduct{cold: cold, dw: dw}
 	capture := method.NewRegionCapture(region, cold)
 	t0 := time.Now()
-	var ran uint64
-	for ran < cold {
-		b := buf
-		if rem := cold - ran; rem < uint64(len(b)) {
-			b = b[:rem]
-		}
-		k, err := fs.RunBatch(b)
-		if err != nil {
-			prod.coldRan, prod.coldDur = ran, time.Since(t0)
-			prod.err = fmt.Errorf("sampling: cold phase: %w", err)
-			return prod
-		}
-		if k > 0 {
-			capture.ObserveSkipBatch(b[:k])
-		}
-		ran += uint64(k)
-		if k < len(b) {
-			break // halted
-		}
-		if stopped() {
-			return nil
-		}
-	}
+	ran, err := coldSkip(fs, buf, cold, capture.ObserveSkipBatch, stopped)
 	prod.coldRan, prod.coldDur = ran, time.Since(t0)
-	if ran != cold {
-		prod.err = fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+	if errors.Is(err, ErrCanceled) {
+		return nil
+	}
+	if err != nil {
+		prod.err = err
 		return prod
 	}
 	prod.capture = capture
-	if !opts.ConsumerRecon {
-		t0 = time.Now()
-		capture.Seal()
-		prod.sealDur = time.Since(t0)
-	}
+	t0 = time.Now()
+	capture.Seal()
+	prod.sealDur = time.Since(t0)
 
 	// Materialize the committed dw+hot stream. The timing model's result
 	// depends only on the record sequence, never on Fill chunk sizes, so

@@ -26,7 +26,7 @@ func normalize(r *RunResult) *RunResult {
 }
 
 // TestParallelByteIdenticalToSequential is the tentpole contract: for every
-// method in the paper's matrix and every shard count, RunSampledParallel
+// method in the paper's matrix and every shard count, the sharded pipeline
 // must produce results deeply equal to the sequential path — cluster stats,
 // work counters, and instruction accounting alike. Region capture is part of
 // the Method contract, so there is no fallback left to hide behind: the
@@ -50,7 +50,7 @@ func TestParallelByteIdenticalToSequential(t *testing.T) {
 					t.Fatalf("seq dw=%d: %v", dw, err)
 				}
 				for _, shards := range []int{1, 2, 4, 7} {
-					par, err := RunSampledParallel(p, DefaultMachine(), reg, total, 2007, spec,
+					par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec,
 						Options{DetailedWarmup: dw, Shards: shards})
 					if err != nil {
 						t.Fatalf("dw=%d shards=%d: %v", dw, shards, err)
@@ -89,7 +89,7 @@ func TestParallelAllWorkloadsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s seq: %v", name, label, err)
 			}
-			par, err := RunSampledParallel(p, DefaultMachine(), reg, total, 1, spec, Options{Shards: 4})
+			par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 1, spec, Options{Shards: 4})
 			if err != nil {
 				t.Fatalf("%s/%s parallel: %v", name, label, err)
 			}
@@ -116,53 +116,21 @@ func TestParallelWindowedIdentical(t *testing.T) {
 	mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
 		return warmup.NewWindowed("MRRL (90%)", h, u, windows)
 	}
-	seq, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{})
+	starts, err := Positions(400_000, reg, 2007)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := Measure(p, DefaultMachine(), starts, reg.ClusterSize, mk, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4, 7} {
-		par, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{Shards: shards})
+		par, err := Measure(p, DefaultMachine(), starts, reg.ClusterSize, mk, Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if !reflect.DeepEqual(normalize(seq), normalize(par)) {
 			t.Errorf("shards=%d: windowed parallel result differs from sequential", shards)
-		}
-	}
-}
-
-// TestParallelConsumerReconIdentical pins the recon-placement ablation:
-// sealing captures on the producers (the default) and deferring the reverse
-// scan to the consumer (Options.ConsumerRecon) are the same computation in
-// different places, so both must match the sequential run exactly.
-func TestParallelConsumerReconIdentical(t *testing.T) {
-	w, err := workload.ByName("twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build()
-	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
-	for _, label := range []string{"R$BP (20%)", "S$BP"} {
-		spec, err := warmup.SpecByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := RunSampledOpts(p, DefaultMachine(), reg, 400_000, 2007, spec, Options{})
-		if err != nil {
-			t.Fatalf("%s seq: %v", label, err)
-		}
-		for _, shards := range []int{2, 4} {
-			for _, consumer := range []bool{false, true} {
-				par, err := RunSampledParallel(p, DefaultMachine(), reg, 400_000, 2007, spec,
-					Options{Shards: shards, ConsumerRecon: consumer})
-				if err != nil {
-					t.Fatalf("%s shards=%d consumerRecon=%v: %v", label, shards, consumer, err)
-				}
-				if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-					t.Errorf("%s shards=%d consumerRecon=%v: result differs from sequential",
-						label, shards, consumer)
-				}
-			}
 		}
 	}
 }
@@ -250,7 +218,7 @@ func TestParallelFaultIdentical(t *testing.T) {
 				t.Fatalf("%s target=%d: partial state escaped a faulted sequential run", label, target)
 			}
 			for _, shards := range []int{2, 4} {
-				parRes, parErr := RunSampledParallel(fp, DefaultMachine(), reg, total, 2007, spec,
+				parRes, parErr := RunSampledOpts(fp, DefaultMachine(), reg, total, 2007, spec,
 					Options{Shards: shards})
 				if parErr == nil {
 					t.Fatalf("%s target=%d shards=%d: parallel run did not fault", label, target, shards)
@@ -278,7 +246,7 @@ func TestParallelCancelPreClosed(t *testing.T) {
 	}
 	spec, _ := warmup.SpecByLabel("R$BP (20%)")
 	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
-	res, err := RunSampledParallel(w.Build(), DefaultMachine(), reg, 400_000, 2007, spec,
+	res, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, 400_000, 2007, spec,
 		Options{Shards: 4, Cancel: closedChan()})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -307,7 +275,7 @@ func TestParallelCancelMidRun(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			close(cancel)
 		}()
-		res, err := RunSampledParallel(p, DefaultMachine(), reg, 2_000_000, 2007, spec,
+		res, err := RunSampledOpts(p, DefaultMachine(), reg, 2_000_000, 2007, spec,
 			Options{Shards: 4, Cancel: cancel})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", label, err)

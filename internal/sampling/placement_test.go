@@ -3,6 +3,9 @@ package sampling
 import (
 	"strings"
 	"testing"
+
+	"rsr/internal/warmup"
+	"rsr/internal/workload"
 )
 
 func TestPositionsInvariants(t *testing.T) {
@@ -89,5 +92,42 @@ func TestCheckPlacementRejects(t *testing.T) {
 	// A regimen that fails Validate fails CheckPlacement with the same error.
 	if err := CheckPlacement(nil, 100, Regimen{ClusterSize: 1000, NumClusters: 4}); err == nil {
 		t.Fatal("invalid regimen accepted")
+	}
+}
+
+// TestMeasureRejectsUnsortedAndOverlappingStarts: the kernel owns no
+// placement, so a start behind the previous cluster's end would wrap the
+// uint64 skip distance; Measure must refuse it before simulating anything,
+// at every shard count.
+func TestMeasureRejectsUnsortedAndOverlappingStarts(t *testing.T) {
+	w, err := workload.ByName("parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	spec, err := warmup.SpecByLabel("R$BP (20%)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]uint64{
+		"unsorted":    {20_000, 10_000},
+		"overlapping": {10_000, 11_999},
+		"duplicate":   {0, 0},
+	}
+	for name, starts := range cases {
+		for _, shards := range []int{1, 2} {
+			res, err := Measure(p, DefaultMachine(), starts, 2000, spec.New, Options{Shards: shards})
+			if err == nil || !strings.Contains(err.Error(), "behind the simulated position") {
+				t.Errorf("%s shards=%d: err = %v, want a behind-the-simulated-position error", name, shards, err)
+			}
+			if res != nil {
+				t.Errorf("%s shards=%d: result escaped a rejected plan", name, shards)
+			}
+		}
+	}
+	// Back-to-back clusters (each starting exactly where the last ends) are
+	// valid.
+	if _, err := Measure(p, DefaultMachine(), []uint64{10_000, 12_000}, 2000, spec.New, Options{}); err != nil {
+		t.Fatalf("adjacent clusters rejected: %v", err)
 	}
 }

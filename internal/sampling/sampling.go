@@ -6,7 +6,8 @@
 //
 // # Concurrency contract
 //
-// RunSampled, RunSampledOpts, RunSampledMethod, and RunFull build a fresh
+// Measure (and RunSampled, RunSampledOpts and RunSampledMethod, which place
+// clusters with Positions and call it) and RunFull build a fresh
 // Hierarchy, predictor Unit, timing model, and functional simulator for
 // every call and share no mutable state between calls; the input Program is
 // read-only. Any number of runs may therefore execute concurrently (the
@@ -19,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"rsr/internal/bpred"
@@ -165,14 +165,12 @@ func (r *RunResult) ConfidenceContains(trueIPC float64) bool {
 // same cluster positions (and therefore the same sampling bias) for every
 // method, as the paper's methodology requires.
 func RunSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	return RunSampledMethod(p, m, reg, total, seed, func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-		return spec.New(h, u)
-	})
+	return RunSampledOpts(p, m, reg, total, seed, spec, Options{})
 }
 
 // ErrCanceled is returned when a run is stopped through Options.Cancel
 // before completing.
-var ErrCanceled = errors.New("sampling: run canceled")
+var ErrCanceled = funcsim.ErrCanceled
 
 // Options tunes the sampled-run controller beyond the warm-up method.
 type Options struct {
@@ -189,22 +187,16 @@ type Options struct {
 	// unaffected.
 	Cancel <-chan struct{}
 	// Shards, when > 1, runs the sampled simulation through the parallel
-	// cluster pipeline (RunSampledParallel): cold functional execution,
-	// skip observation into private region captures, and producer-side
-	// reconstruction planning fan out over shard goroutines seeded from
-	// architectural checkpoints, while shared microarchitectural state
-	// advances sequentially in cluster order, so results stay byte-identical
-	// to the sequential run. Every warm-up method shards — functional
-	// warming captures its would-be applications and replays them at
-	// adoption. 0 or 1 selects the sequential path. Shards is an execution
-	// policy, not part of a run's identity.
+	// cluster pipeline: cold functional execution, skip observation into
+	// private region captures, and producer-side reconstruction planning
+	// fan out over shard goroutines seeded from architectural checkpoints,
+	// while shared microarchitectural state advances sequentially in
+	// cluster order, so results stay byte-identical to the sequential run.
+	// Every warm-up method shards — functional warming captures its
+	// would-be applications and replays them at adoption. 0 or 1 selects
+	// the sequential path. Shards is an execution policy, not part of a
+	// run's identity.
 	Shards int
-	// ConsumerRecon, when set alongside Shards > 1, skips producer-side
-	// capture sealing so the reverse scans run on the consumer at EndSkip
-	// (the pre-shard-side placement). Results are byte-identical either way
-	// (TestParallelConsumerReconIdentical); the flag exists for the rsrbench
-	// recon_shardside ablation and costs nothing when unset.
-	ConsumerRecon bool
 	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
 	// the parallel pipeline load its pre-pass checkpoint chain from a
 	// shared store (skipping the pre-pass functional run) and persist a
@@ -226,40 +218,15 @@ type Options struct {
 }
 
 // canceled reports whether the cancel channel (if any) has been closed.
-func (o Options) canceled() bool {
-	if o.Cancel == nil {
-		return false
-	}
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
-}
+func (o Options) canceled() bool { return funcsim.Closed(o.Cancel) }
 
 // RunSampledOpts is RunSampled with controller options.
 func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
-	return runSampled(p, m, reg, total, seed, func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-		return spec.New(h, u)
-	}, opts)
-}
-
-// RunSampledParallel is RunSampledOpts with intra-run cluster parallelism:
-// opts.Shards goroutines (defaulting to GOMAXPROCS when unset) divide the
-// clusters into contiguous shards, a fast functional pre-pass seeds each
-// shard with an architectural checkpoint (registers plus dirty-page deltas)
-// at its boundary, and the shards execute their cold phases, capture their
-// skip observations, and materialize reconstruction plans concurrently
-// while shared microarchitectural state — caches, predictor — advances
-// strictly in cluster order. The result is byte-identical to the sequential
-// run for every warm-up method (see DESIGN.md "Parallel cluster simulation"
-// for the determinism argument).
-func RunSampledParallel(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
-	if opts.Shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
+	starts, err := Positions(total, reg, seed)
+	if err != nil {
+		return nil, err
 	}
-	return RunSampledOpts(p, m, reg, total, seed, spec, opts)
+	return Measure(p, m, starts, reg.ClusterSize, spec.New, opts)
 }
 
 // RunSampledMethod is RunSampled for warm-up methods that need more context
@@ -267,43 +234,27 @@ func RunSampledParallel(p *prog.Program, m MachineConfig, reg Regimen, total uin
 // whose per-region warm windows are computed ahead of time). The factory
 // receives the run's hierarchy and predictor.
 func RunSampledMethod(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method) (*RunResult, error) {
-	return runSampled(p, m, reg, total, seed, mk, Options{})
-}
-
-// stream feeds the timing model from the functional simulator in batches
-// (funcsim.BatchSize records per Fill), polling cancellation once per batch.
-// It implements ooo.Source; Fill is clamped by the caller's remaining budget
-// so the functional simulator never executes past a region boundary.
-type stream struct {
-	fs   *funcsim.Sim
-	buf  []trace.DynInst
-	opts *Options
-	err  error
-}
-
-func (st *stream) Fill(max uint64) []trace.DynInst {
-	if st.err != nil {
-		return nil
-	}
-	if st.opts.canceled() {
-		st.err = ErrCanceled
-		return nil
-	}
-	b := st.buf
-	if max < uint64(len(b)) {
-		b = b[:max]
-	}
-	n, err := st.fs.RunBatch(b)
-	if err != nil {
-		st.err = err
-	}
-	return b[:n]
-}
-
-func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
 	starts, err := Positions(total, reg, seed)
 	if err != nil {
 		return nil, err
+	}
+	return Measure(p, m, starts, reg.ClusterSize, mk, Options{})
+}
+
+// Measure is the skip-then-measure kernel behind every sampled estimate:
+// for each cluster start it runs a cold functional skip observed by the
+// warm-up method mk builds, reconstructs at EndSkip, optionally warms the
+// timing model for opts.DetailedWarmup instructions, and measures size
+// instructions in detail. Starts must be sorted and non-overlapping (each at
+// least size past the previous one); placement is the caller's job. With
+// opts.Shards > 1 the clusters run through the parallel pipeline, with
+// byte-identical results.
+func Measure(p *prog.Program, m MachineConfig, starts []uint64, size uint64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
+	for i := 1; i < len(starts); i++ {
+		if end := starts[i-1] + size; starts[i] < end {
+			return nil, fmt.Errorf("sampling: cluster %d starts at %d, behind the simulated position %d (starts must be sorted and non-overlapping)",
+				i, starts[i], end)
+		}
 	}
 	hier := mem.NewHierarchy(m.Hier)
 	unit := bpred.NewUnit(m.Pred)
@@ -314,7 +265,7 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 		// Every method supports region captures (part of the Method
 		// contract), so a sharded request never falls back to the
 		// sequential path.
-		return runParallel(p, reg, starts, hier, unit, method, sim, shards, opts)
+		return runParallel(p, starts, size, hier, unit, method, sim, shards, opts)
 	}
 
 	fs := funcsim.New(p)
@@ -323,47 +274,20 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
 	begin := time.Now()
 	buf := make([]trace.DynInst, funcsim.BatchSize)
-	st := &stream{fs: fs, buf: buf, opts: &opts}
-	observe := method.ObserveSkipBatch
+	st := funcsim.NewStream(fs, buf, opts.Cancel)
+	observe, stopped := method.ObserveSkipBatch, opts.canceled
 	var pos uint64
 	for ci, start := range starts {
 		if opts.canceled() {
 			return nil, ErrCanceled
 		}
-		skip := start - pos
-		dw := opts.DetailedWarmup
-		if dw > skip {
-			dw = skip
-		}
-		cold := skip - dw
+		dw, cold := splitSkip(start-pos, opts.DetailedWarmup)
 
-		// Cold phase: batch-execute the skip region, handing each batch to
-		// the warm-up method and polling cancellation between batches.
 		t0 := ro.begin()
 		method.BeginSkip(cold)
-		var ran uint64
-		for ran < cold {
-			b := buf
-			if rem := cold - ran; rem < uint64(len(b)) {
-				b = b[:rem]
-			}
-			k, err := fs.RunBatch(b)
-			if err != nil {
-				return nil, fmt.Errorf("sampling: cold phase: %w", err)
-			}
-			if k > 0 {
-				observe(b[:k])
-			}
-			ran += uint64(k)
-			if k < len(b) {
-				break // halted
-			}
-			if opts.canceled() {
-				return nil, ErrCanceled
-			}
-		}
-		if ran != cold {
-			return nil, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+		ran, err := coldSkip(fs, buf, cold, observe, stopped)
+		if err != nil {
+			return nil, err
 		}
 		res.FuncInstructions += ran
 		ro.coldDone(t0, ci, ran, method.Work())
@@ -377,8 +301,8 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 			// Unmeasured detailed warm-up immediately before the cluster.
 			t0 = ro.begin()
 			w := sim.SimulateSource(dw, st)
-			if st.err != nil {
-				return nil, fmt.Errorf("sampling: detailed warm-up: %w", st.err)
+			if err := st.Err(); err != nil {
+				return nil, fmt.Errorf("sampling: detailed warm-up: %w", err)
 			}
 			res.FuncInstructions += w.Instructions
 			pos += w.Instructions
@@ -386,9 +310,9 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 		}
 
 		t0 = ro.begin()
-		r := sim.SimulateSource(reg.ClusterSize, st)
-		if st.err != nil {
-			return nil, fmt.Errorf("sampling: hot phase: %w", st.err)
+		r := sim.SimulateSource(size, st)
+		if err := st.Err(); err != nil {
+			return nil, fmt.Errorf("sampling: hot phase: %w", err)
 		}
 		res.FuncInstructions += r.Instructions
 		res.HotInstructions += r.Instructions
@@ -400,6 +324,47 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 	res.Work = method.Work()
 	ro.runDone("sampled", hier, unit)
 	return res, nil
+}
+
+// splitSkip divides the skip before a cluster into its unmeasured detailed
+// warm-up (at most dw, the tail of the skip) and the cold phase before it.
+func splitSkip(skip, dw uint64) (warm, cold uint64) {
+	if dw > skip {
+		dw = skip
+	}
+	return dw, skip - dw
+}
+
+// coldSkip runs one cold phase: n instructions executed in batches, each
+// handed to observe, polling stopped between batches. It returns the
+// instructions executed. A fault, or a halt before n, is an error, and
+// stopped reporting true yields ErrCanceled.
+func coldSkip(fs *funcsim.Sim, buf []trace.DynInst, n uint64, observe func([]trace.DynInst), stopped func() bool) (uint64, error) {
+	var ran uint64
+	for ran < n {
+		b := buf
+		if rem := n - ran; rem < uint64(len(b)) {
+			b = b[:rem]
+		}
+		k, err := fs.RunBatch(b)
+		if err != nil {
+			return ran, fmt.Errorf("sampling: cold phase: %w", err)
+		}
+		if k > 0 {
+			observe(b[:k])
+		}
+		ran += uint64(k)
+		if k < len(b) {
+			break // halted
+		}
+		if stopped() {
+			return ran, ErrCanceled
+		}
+	}
+	if ran != n {
+		return ran, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+	}
+	return ran, nil
 }
 
 // FullResult is a complete detailed simulation — the paper's "true IPC"
@@ -424,11 +389,11 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	fs := funcsim.New(p)
 	ro := newRunObs(opts.Instr, opts.Tracer, "full", "")
 	begin := time.Now()
-	st := &stream{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize), opts: &opts}
+	st := funcsim.NewStream(fs, nil, opts.Cancel)
 	t0 := ro.begin()
 	r := sim.SimulateSource(total, st)
-	if st.err != nil {
-		return FullResult{}, fmt.Errorf("sampling: full run: %w", st.err)
+	if err := st.Err(); err != nil {
+		return FullResult{}, fmt.Errorf("sampling: full run: %w", err)
 	}
 	ro.fullDone(t0, r.Instructions)
 	ro.runDone("full", hier, unit)

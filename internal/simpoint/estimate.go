@@ -5,13 +5,8 @@ import (
 	"math"
 	"time"
 
-	"rsr/internal/bpred"
-	"rsr/internal/funcsim"
-	"rsr/internal/mem"
-	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/sampling"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 )
 
@@ -41,7 +36,8 @@ type Result struct {
 	// covers: Profile drops the trailing partial interval, so this may be
 	// less than the requested total.
 	ProfileInstructions uint64
-	// SimElapsed is the simulation cost: fast-forward plus hot intervals.
+	// SimElapsed is the simulation cost: fast-forward plus hot intervals
+	// (the kernel's RunResult.Elapsed).
 	SimElapsed time.Duration
 	// HotInstructions is the number of cycle-accurately simulated
 	// instructions.
@@ -66,62 +62,38 @@ func Estimate(p *prog.Program, m sampling.MachineConfig, total uint64, cfg Confi
 	return res, nil
 }
 
-// SimulatePoints fast-forwards between the given simulation points and
-// simulates each one cycle-accurately, returning the weighted IPC estimate.
+// SimulatePoints measures the given simulation points through the sampling
+// package's skip-then-measure kernel (sampling.Measure): a cold functional
+// fast-forward between points, observed by cfg.Warmup, then one
+// cycle-accurate interval per point. It returns the weighted IPC estimate.
 // Points must be sorted ascending by interval index and distinct — an
 // interval whose start lies before the simulator's position (overlapping or
 // out-of-order points) is rejected with an error rather than wrapping the
 // uint64 skip distance into a multi-exabyte fast-forward.
 func SimulatePoints(p *prog.Program, m sampling.MachineConfig, cfg Config, points []Point) (*Result, error) {
-	res := &Result{Points: points}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("simpoint: no simulation points selected")
 	}
-
-	hier := mem.NewHierarchy(m.Hier)
-	unit := bpred.NewUnit(m.Pred)
-	method := cfg.Warmup.New(hier, unit)
-	sim := ooo.New(m.CPU, hier, method.Predictor())
-	fs := funcsim.New(p)
-
-	simStart := time.Now()
-	buf := make([]trace.DynInst, funcsim.BatchSize)
-	st := funcsim.NewStream(fs, buf)
-	var pos uint64
+	starts := make([]uint64, len(points))
+	for i, pt := range points {
+		starts[i] = uint64(pt.IntervalIndex) * cfg.IntervalSize
+	}
+	run, err := sampling.Measure(p, m, starts, cfg.IntervalSize, cfg.Warmup.New, sampling.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("simpoint: %w", err)
+	}
+	res := &Result{Points: points, SimElapsed: run.Elapsed, HotInstructions: run.HotInstructions}
 	var weighted, wsum float64
-	for _, pt := range points {
-		start := uint64(pt.IntervalIndex) * cfg.IntervalSize
-		if start < pos {
-			return nil, fmt.Errorf("simpoint: point at interval %d starts at %d, behind the simulated position %d (points must be sorted and non-overlapping)",
-				pt.IntervalIndex, start, pos)
-		}
-		skip := start - pos
-		method.BeginSkip(skip)
-		ran, err := fs.RunBatches(skip, buf, method.ObserveSkipBatch)
-		if err != nil {
-			return nil, fmt.Errorf("simpoint: fast-forward: %w", err)
-		}
-		if ran != skip {
-			return nil, fmt.Errorf("simpoint: workload halted while fast-forwarding")
-		}
-		method.EndSkip()
-
-		r := sim.SimulateSource(cfg.IntervalSize, st)
-		if err := st.Err(); err != nil {
-			return nil, fmt.Errorf("simpoint: hot interval: %w", err)
-		}
-		res.HotInstructions += r.Instructions
+	for i, c := range run.Clusters {
 		// A hot interval that retires nothing (the workload halted at its
 		// start) carries no IPC information: folding its weight in would
 		// drag the weighted mean toward zero, and a NaN ratio would poison
 		// it outright. Drop the point from the estimate instead.
-		if ipc := r.IPC(); r.Instructions > 0 && !math.IsNaN(ipc) {
-			weighted += pt.Weight * ipc
-			wsum += pt.Weight
+		if ipc := c.Result.IPC(); c.Result.Instructions > 0 && !math.IsNaN(ipc) {
+			weighted += points[i].Weight * ipc
+			wsum += points[i].Weight
 		}
-		pos = start + r.Instructions
 	}
-	res.SimElapsed = time.Since(simStart)
 	if wsum > 0 {
 		res.IPC = weighted / wsum
 	}

@@ -4,7 +4,10 @@
 // representative simulation point per cluster with a weight proportional to
 // cluster population, and a weighted-IPC estimate obtained by simulating only
 // the chosen intervals — optionally with SMARTS-style functional warm-up
-// while fast-forwarding between points.
+// while fast-forwarding between points. The chosen intervals are measured
+// through sampling.Measure, the one skip-then-measure kernel every sampled
+// estimate in this repository runs on; this package owns only profiling,
+// point selection and the weighted-IPC estimator.
 package simpoint
 
 import (

@@ -152,22 +152,6 @@ func TestWindowedBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
-// TestObserveSkipScalarAdapter pins the shared adapter: it must visit every
-// record in order.
-func TestObserveSkipScalarAdapter(t *testing.T) {
-	recs := genRecords(t, 100)
-	var seen []uint64
-	ObserveSkipScalar(recs, func(d *trace.DynInst) { seen = append(seen, d.Seq) })
-	if len(seen) != len(recs) {
-		t.Fatalf("visited %d records, want %d", len(seen), len(recs))
-	}
-	for i, s := range seen {
-		if s != recs[i].Seq {
-			t.Fatalf("record %d visited out of order", i)
-		}
-	}
-}
-
 // resetCaptureLog returns a capture's log and counters to their post-creation
 // state while retaining slice storage, modelling a steady-state producer.
 func resetCaptureLog(log *trace.SkipLog, lines *lineTracker) {

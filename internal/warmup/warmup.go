@@ -28,8 +28,7 @@ import (
 // calling ObserveSkip for each record of ds in order would; implementations
 // here specialize the batch path (policy checks hoisted out of the loop,
 // line tracking and log appends flattened) and TestBatchScalarEquivalence
-// pins the contract. ObserveSkipScalar adapts implementations that only
-// have a scalar observer.
+// pins the contract.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
 // the contract the parallel cluster pipeline builds on: a region's skip
@@ -59,14 +58,6 @@ type Method interface {
 	// for that region, and leaves the method in exactly the state direct
 	// observation would.
 	AdoptRegion(c RegionCapture)
-}
-
-// ObserveSkipScalar feeds each record of ds to observe in order: the shared
-// adapter that turns a per-instruction observer into a batch one.
-func ObserveSkipScalar(ds []trace.DynInst, observe func(*trace.DynInst)) {
-	for i := range ds {
-		observe(&ds[i])
-	}
 }
 
 // RegionCapture accumulates one skip region's observation product away from

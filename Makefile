@@ -19,17 +19,12 @@
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
-#   make bench       machine-readable benchmark snapshot (BENCH_$(LABEL).json)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make all         everything above
-#
-# Compare two snapshots with:
-#   go run ./cmd/rsrbench -label after -compare BENCH_baseline.json
 
 GO ?= go
-LABEL ?= dev
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-sweep
 
 all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke
 
@@ -106,9 +101,6 @@ shard-smoke:
 # listed by `rsr regimens` must complete a run under the race detector.
 regimen-smoke:
 	./scripts/regimen-smoke.sh
-
-bench:
-	$(GO) run ./cmd/rsrbench -label $(LABEL)
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .

@@ -126,18 +126,21 @@ func runTrace(p *prog.Program, skip, n uint64) {
 		fmt.Fprintln(os.Stderr, "rsrtrace:", err)
 		os.Exit(1)
 	}
-	_, err := fs.Run(n, func(d *trace.DynInst) {
-		extra := ""
-		switch {
-		case d.IsMem():
-			extra = fmt.Sprintf("  [addr %#x]", d.EffAddr)
-		case d.IsBranch() && d.Taken:
-			extra = fmt.Sprintf("  -> %#x", d.NextPC)
-		case d.IsBranch():
-			extra = "  (not taken)"
+	_, err := fs.RunBatches(n, make([]trace.DynInst, funcsim.BatchSize), func(ds []trace.DynInst) {
+		for i := range ds {
+			d := &ds[i]
+			extra := ""
+			switch {
+			case d.IsMem():
+				extra = fmt.Sprintf("  [addr %#x]", d.EffAddr)
+			case d.IsBranch() && d.Taken:
+				extra = fmt.Sprintf("  -> %#x", d.NextPC)
+			case d.IsBranch():
+				extra = "  (not taken)"
+			}
+			in, _ := p.Fetch(d.PC)
+			fmt.Fprintf(out, "%12d  %#08x  %-28s%s\n", d.Seq, d.PC, in.String(), extra)
 		}
-		in, _ := p.Fetch(d.PC)
-		fmt.Fprintf(out, "%12d  %#08x  %-28s%s\n", d.Seq, d.PC, in.String(), extra)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsrtrace:", err)
@@ -151,16 +154,19 @@ func runStats(p *prog.Program, n uint64) {
 	lines := map[uint64]struct{}{}
 	pcs := map[uint64]struct{}{}
 	var taken, cond uint64
-	_, err := fs.Run(n, func(d *trace.DynInst) {
-		classes[d.Op.Class()]++
-		pcs[d.PC] = struct{}{}
-		if d.IsMem() {
-			lines[d.EffAddr>>6] = struct{}{}
-		}
-		if d.Op.IsConditional() {
-			cond++
-			if d.Taken {
-				taken++
+	_, err := fs.RunBatches(n, make([]trace.DynInst, funcsim.BatchSize), func(ds []trace.DynInst) {
+		for i := range ds {
+			d := &ds[i]
+			classes[d.Op.Class()]++
+			pcs[d.PC] = struct{}{}
+			if d.IsMem() {
+				lines[d.EffAddr>>6] = struct{}{}
+			}
+			if d.Op.IsConditional() {
+				cond++
+				if d.Taken {
+					taken++
+				}
 			}
 		}
 	})

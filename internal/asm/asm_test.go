@@ -10,6 +10,17 @@ import (
 	"rsr/internal/trace"
 )
 
+// step executes one instruction through the functional simulator's RunBatch
+// with a one-element buffer and returns its record.
+func step(t *testing.T, s *funcsim.Sim) trace.DynInst {
+	t.Helper()
+	var buf [1]trace.DynInst
+	if _, err := s.RunBatch(buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	return buf[0]
+}
+
 func TestParseAndRunLoop(t *testing.T) {
 	p, err := Parse("t", `
 		# sum 1..10 into r2
@@ -26,9 +37,7 @@ func TestParseAndRunLoop(t *testing.T) {
 	}
 	s := funcsim.New(p)
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
+		step(t, s)
 	}
 	if got := s.Reg(2); got != 55 {
 		t.Fatalf("r2 = %d, want 55", got)
@@ -52,9 +61,7 @@ func TestParseMemoryAndData(t *testing.T) {
 	}
 	s := funcsim.New(p)
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
+		step(t, s)
 	}
 	if s.Reg(5) != 42 {
 		t.Fatalf("r5 = %d, want 42", s.Reg(5))
@@ -78,9 +85,7 @@ func TestParseCallRetAndJumpTable(t *testing.T) {
 	}
 	s := funcsim.New(p)
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
+		step(t, s)
 	}
 	if s.Reg(9) != 99 {
 		t.Fatalf("r9 = %d, want 99", s.Reg(9))
@@ -102,11 +107,7 @@ func TestParseCallReturn(t *testing.T) {
 	s := funcsim.New(p)
 	var rets int
 	for !s.Halted() {
-		d, err := s.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Op == isa.OpRet {
+		if d := step(t, s); d.Op == isa.OpRet {
 			rets++
 		}
 	}
@@ -208,7 +209,7 @@ func TestParsedProgramWorksWithDynStream(t *testing.T) {
 	`)
 	s := funcsim.New(p)
 	var n int
-	s.Run(100, func(d *trace.DynInst) { n++ })
+	s.RunBatches(100, make([]trace.DynInst, 16), func(ds []trace.DynInst) { n += len(ds) })
 	if n != 100 {
 		t.Fatalf("ran %d", n)
 	}

@@ -1,6 +1,8 @@
 package funcsim
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -139,36 +141,45 @@ func TestRunBatchMatchesStep(t *testing.T) {
 	}
 }
 
+// escapingProgram runs 100 loop iterations and then jumps outside the code
+// segment, so it faults in the middle of a batch.
+func escapingProgram() *prog.Program {
+	b := prog.NewBuilder("escape")
+	b.Li(1, 100)
+	b.Label("loop")
+	b.Addi(1, 1, -1)
+	b.Branch(isa.OpBne, 1, 0, "loop")
+	b.Li(2, 0x10) // bogus target outside the code segment
+	b.Jr(2)
+	return b.MustBuild()
+}
+
 // TestRunBatchesMatchesRun pins the batched driver against the scalar Run
-// loop: same executed counts and same observed record stream.
+// loop: the same executed count, the same error, and the same observed record
+// stream, including the halt record and every record before a fault.
 func TestRunBatchesMatchesRun(t *testing.T) {
-	p := allOpcodeProgram()
-	for _, n := range []uint64{0, 1, 500, 1 << 20} {
-		sa := New(p)
-		var want []trace.DynInst
-		ranA, errA := sa.Run(n, func(d *trace.DynInst) { want = append(want, *d) })
-		if errA != nil {
-			t.Fatal(errA)
-		}
-		sb := New(p)
-		buf := make([]trace.DynInst, 64)
-		var got []trace.DynInst
-		ranB, errB := sb.RunBatches(n, buf, func(ds []trace.DynInst) { got = append(got, ds...) })
-		if errB != nil {
-			t.Fatal(errB)
-		}
-		if ranA != ranB {
-			t.Fatalf("n=%d: ran %d batched vs %d scalar", n, ranB, ranA)
-		}
-		// Run does not deliver the halt record (Step returns ErrHalted for
-		// it only after committing), RunBatch delivers it as the last record;
-		// both report the same executed count. Compare the common prefix.
-		if len(got) < len(want) {
-			t.Fatalf("n=%d: %d observed batched vs %d scalar", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: record %d differs", n, i)
+	for _, p := range []*prog.Program{allOpcodeProgram(), escapingProgram()} {
+		for _, n := range []uint64{0, 1, 150, 500, 1 << 20} {
+			sa := New(p)
+			var want []trace.DynInst
+			ranA, errA := sa.Run(n, func(d *trace.DynInst) { want = append(want, *d) })
+			sb := New(p)
+			buf := make([]trace.DynInst, 64)
+			var got []trace.DynInst
+			ranB, errB := sb.RunBatches(n, buf, func(ds []trace.DynInst) { got = append(got, ds...) })
+			if fmt.Sprint(errA) != fmt.Sprint(errB) {
+				t.Fatalf("%s n=%d: error %v batched vs %v scalar", p.Name, n, errB, errA)
+			}
+			if ranA != ranB {
+				t.Fatalf("%s n=%d: ran %d batched vs %d scalar", p.Name, n, ranB, ranA)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s n=%d: %d records observed batched vs %d scalar, or contents differ",
+					p.Name, n, len(got), len(want))
+			}
+			if sa.PC() != sb.PC() || sa.Seq() != sb.Seq() {
+				t.Fatalf("%s n=%d: pc/seq = %#x/%d batched, %#x/%d scalar",
+					p.Name, n, sb.PC(), sb.Seq(), sa.PC(), sa.Seq())
 			}
 		}
 	}

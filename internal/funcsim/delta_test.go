@@ -48,8 +48,8 @@ func TestCaptureApplyDeltaRoundTrip(t *testing.T) {
 	r.ApplyDelta(d1)
 	r.ApplyDelta(d2)
 	for i := 0; i < 500; i++ {
-		a, err1 := s.Step()
-		b, err2 := r.Step()
+		a, err1 := step(s)
+		b, err2 := step(r)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -67,7 +67,7 @@ func TestDeltaAccessors(t *testing.T) {
 	if s.Mem() == nil {
 		t.Fatal("Mem accessor nil")
 	}
-	d, err := s.Step()
+	d, err := step(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,10 @@
 // engine in the paper: it retains valid architectural state while the timing
 // model is off (cold and warm phases) and produces the committed dynamic
 // instruction stream the timing model replays during hot phases.
+//
+// RunBatch is the one interpreter. Everything that executes instructions —
+// RunBatches and Skip, the Stream adapter the timing model pulls from, and
+// the profiling passes — goes through it.
 package funcsim
 
 import (
@@ -15,10 +19,7 @@ import (
 	"rsr/internal/trace"
 )
 
-// ErrHalted is returned by Step after the program executes a halt.
-var ErrHalted = errors.New("funcsim: program halted")
-
-// Sim executes a Program one instruction at a time.
+// Sim executes a Program, one batch of instructions per RunBatch call.
 type Sim struct {
 	prog   *prog.Program
 	mem    *Memory
@@ -27,7 +28,7 @@ type Sim struct {
 	seq    uint64
 	halted bool
 	// batch is the reusable record buffer backing Skip; allocated lazily so
-	// sims that only Step or RunBatch into caller-owned buffers pay nothing.
+	// sims that only RunBatch into caller-owned buffers pay nothing.
 	batch []trace.DynInst
 }
 
@@ -53,144 +54,8 @@ func (s *Sim) Halted() bool { return s.halted }
 // Reg returns the architectural value of register r.
 func (s *Sim) Reg(r uint8) uint64 { return s.regs[r] }
 
-// SetReg sets register r (writes to the zero register are discarded).
-func (s *Sim) SetReg(r uint8, v uint64) {
-	if r != isa.ZeroReg {
-		s.regs[r] = v
-	}
-}
-
 // Mem exposes the memory image (used by tests and by workload setup).
 func (s *Sim) Mem() *Memory { return s.mem }
-
-// Step executes one instruction and returns its dynamic record.
-func (s *Sim) Step() (trace.DynInst, error) {
-	if s.halted {
-		return trace.DynInst{}, ErrHalted
-	}
-	idx, ok := s.prog.IndexOf(s.pc)
-	if !ok {
-		return trace.DynInst{}, fmt.Errorf("funcsim: pc %#x escaped code segment", s.pc)
-	}
-	in := s.prog.Insts[idx]
-	d := trace.DynInst{
-		Seq: s.seq, PC: s.pc,
-		Op: in.Op, Rd: in.Rd, Rs1: in.Rs1, Rs2: in.Rs2,
-	}
-	next := s.pc + isa.InstBytes
-	rs1 := s.regs[in.Rs1]
-	rs2 := s.regs[in.Rs2]
-
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		s.SetReg(in.Rd, rs1+rs2)
-	case isa.OpSub:
-		s.SetReg(in.Rd, rs1-rs2)
-	case isa.OpAddi:
-		s.SetReg(in.Rd, rs1+uint64(in.Imm))
-	case isa.OpLui:
-		s.SetReg(in.Rd, uint64(in.Imm))
-	case isa.OpAnd:
-		s.SetReg(in.Rd, rs1&rs2)
-	case isa.OpOr:
-		s.SetReg(in.Rd, rs1|rs2)
-	case isa.OpXor:
-		s.SetReg(in.Rd, rs1^rs2)
-	case isa.OpShl:
-		s.SetReg(in.Rd, rs1<<(rs2&63))
-	case isa.OpShr:
-		s.SetReg(in.Rd, rs1>>(rs2&63))
-	case isa.OpAndi:
-		s.SetReg(in.Rd, rs1&uint64(in.Imm))
-	case isa.OpShli:
-		s.SetReg(in.Rd, rs1<<(uint64(in.Imm)&63))
-	case isa.OpShri:
-		s.SetReg(in.Rd, rs1>>(uint64(in.Imm)&63))
-	case isa.OpSlt:
-		if int64(rs1) < int64(rs2) {
-			s.SetReg(in.Rd, 1)
-		} else {
-			s.SetReg(in.Rd, 0)
-		}
-	case isa.OpMul:
-		s.SetReg(in.Rd, rs1*rs2)
-	case isa.OpDiv:
-		if rs2 == 0 {
-			s.SetReg(in.Rd, 0)
-		} else {
-			s.SetReg(in.Rd, uint64(int64(rs1)/int64(rs2)))
-		}
-	case isa.OpRem:
-		if rs2 == 0 {
-			s.SetReg(in.Rd, 0)
-		} else {
-			s.SetReg(in.Rd, uint64(int64(rs1)%int64(rs2)))
-		}
-	case isa.OpFAdd:
-		s.SetReg(in.Rd, math.Float64bits(math.Float64frombits(rs1)+math.Float64frombits(rs2)))
-	case isa.OpFMul:
-		s.SetReg(in.Rd, math.Float64bits(math.Float64frombits(rs1)*math.Float64frombits(rs2)))
-	case isa.OpFDiv:
-		den := math.Float64frombits(rs2)
-		if den == 0 {
-			s.SetReg(in.Rd, 0)
-		} else {
-			s.SetReg(in.Rd, math.Float64bits(math.Float64frombits(rs1)/den))
-		}
-	case isa.OpLd:
-		addr := rs1 + uint64(in.Imm)
-		d.EffAddr = addr
-		s.SetReg(in.Rd, s.mem.Read(addr))
-	case isa.OpSt:
-		addr := rs1 + uint64(in.Imm)
-		d.EffAddr = addr
-		s.mem.Write(addr, rs2)
-	case isa.OpBeq:
-		if rs1 == rs2 {
-			next = s.pc + uint64(in.Imm)
-			d.Taken = true
-		}
-	case isa.OpBne:
-		if rs1 != rs2 {
-			next = s.pc + uint64(in.Imm)
-			d.Taken = true
-		}
-	case isa.OpBlt:
-		if int64(rs1) < int64(rs2) {
-			next = s.pc + uint64(in.Imm)
-			d.Taken = true
-		}
-	case isa.OpBge:
-		if int64(rs1) >= int64(rs2) {
-			next = s.pc + uint64(in.Imm)
-			d.Taken = true
-		}
-	case isa.OpJmp:
-		next = s.pc + uint64(in.Imm)
-		d.Taken = true
-	case isa.OpJr:
-		next = rs1
-		d.Taken = true
-	case isa.OpCall:
-		s.SetReg(in.Rd, s.pc+isa.InstBytes)
-		next = s.pc + uint64(in.Imm)
-		d.Taken = true
-	case isa.OpRet:
-		next = rs1
-		d.Taken = true
-	case isa.OpHalt:
-		s.halted = true
-		d.Taken = false
-	default:
-		return trace.DynInst{}, fmt.Errorf("funcsim: unknown opcode %d at pc %#x", in.Op, s.pc)
-	}
-
-	d.NextPC = next
-	s.pc = next
-	s.seq++
-	return d, nil
-}
 
 // ErrCanceled ends a Stream whose cancel channel was closed.
 var ErrCanceled = errors.New("run canceled")
@@ -289,35 +154,6 @@ func (s *Sim) ApplyDelta(d *Delta) {
 	s.mem.InstallPages(d.Pages)
 }
 
-// Run executes up to n instructions, invoking fn for each committed dynamic
-// instruction, and reports how many actually executed (fewer only when the
-// program halts). The record passed to fn is reused between calls; observers
-// that retain it must copy it.
-//
-// Run is the scalar reference path; the batched RunBatch/RunBatches family
-// below produces the identical instruction sequence and is what the sampling
-// controller feeds from.
-func (s *Sim) Run(n uint64, fn func(*trace.DynInst)) (uint64, error) {
-	// One reusable record: taking its address inside the loop would make
-	// every iteration's record escape to the heap.
-	var d trace.DynInst
-	var err error
-	var i uint64
-	for i = 0; i < n; i++ {
-		d, err = s.Step()
-		if err != nil {
-			if errors.Is(err, ErrHalted) {
-				return i, nil
-			}
-			return i, err
-		}
-		if fn != nil {
-			fn(&d)
-		}
-	}
-	return i, nil
-}
-
 // BatchSize is the instruction-batch granularity used by Skip, RunBatches,
 // and the sampling controller: large enough to amortize per-batch dispatch,
 // small enough that a batch of records stays cache-resident.
@@ -326,10 +162,12 @@ const BatchSize = 1024
 // RunBatch fills buf with the next committed dynamic instructions and
 // reports how many it produced. It returns fewer than len(buf) only when the
 // program halts (the halt instruction is the last record delivered; later
-// calls return 0) or on an execution fault. It is the specialized hot loop
-// behind all batched streaming: program code is indexed directly, the zero
+// calls return 0) or on an execution fault, in which case the records before
+// the faulting instruction are delivered and the PC is left at it. It is the
+// simulator's only interpreter: program code is indexed directly, the zero
 // register is reset with a single store per instruction, and no per-step
-// error values are constructed.
+// error values are constructed. Callers that need one record at a time pass a
+// one-element buffer.
 func (s *Sim) RunBatch(buf []trace.DynInst) (int, error) {
 	if s.halted || len(buf) == 0 {
 		return 0, nil
@@ -462,7 +300,7 @@ func (s *Sim) RunBatch(buf []trace.DynInst) (int, error) {
 			return n, fmt.Errorf("funcsim: unknown opcode %d at pc %#x", in.Op, pc)
 		}
 		// Writes to the zero register are architecturally discarded; a single
-		// unconditional store replaces the per-write branch of SetReg.
+		// unconditional store replaces a per-write branch.
 		regs[isa.ZeroReg] = 0
 
 		d.NextPC = next
@@ -479,8 +317,10 @@ func (s *Sim) RunBatch(buf []trace.DynInst) (int, error) {
 
 // RunBatches executes up to n instructions through RunBatch, invoking observe
 // (when non-nil) once per filled batch, and reports how many instructions
-// actually executed (fewer only when the program halts). The batch slice
-// passed to observe aliases buf and is only valid until the next batch.
+// actually executed (fewer only when the program halts or faults). Every
+// executed record is observed, including the halt and the records before a
+// fault. The batch slice passed to observe aliases buf and is only valid until
+// the next batch.
 func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.DynInst)) (uint64, error) {
 	var done uint64
 	for done < n {
@@ -490,11 +330,11 @@ func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.Dyn
 		}
 		k, err := s.RunBatch(b)
 		done += uint64(k)
-		if err != nil {
-			return done, err
-		}
 		if observe != nil && k > 0 {
 			observe(b[:k])
+		}
+		if err != nil {
+			return done, err
 		}
 		if k < len(b) {
 			return done, nil // halted

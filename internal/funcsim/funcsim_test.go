@@ -11,13 +11,28 @@ import (
 	"rsr/internal/trace"
 )
 
+// step executes one instruction through the production interpreter, RunBatch
+// with a one-element buffer, and reports errHalted once the program has
+// halted, so these tests pin RunBatch one record at a time.
+func step(s *Sim) (trace.DynInst, error) {
+	var buf [1]trace.DynInst
+	n, err := s.RunBatch(buf[:])
+	if err != nil {
+		return trace.DynInst{}, err
+	}
+	if n == 0 {
+		return trace.DynInst{}, errHalted
+	}
+	return buf[0], nil
+}
+
 func runProgram(t *testing.T, build func(b *prog.Builder)) *Sim {
 	t.Helper()
 	b := prog.NewBuilder("t")
 	build(b)
 	s := New(b.MustBuild())
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
+		if _, err := step(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +150,7 @@ func TestDataSegmentInstalled(t *testing.T) {
 	b.Halt()
 	s := New(b.MustBuild())
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
+		if _, err := step(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +169,7 @@ func TestLoopAndBranchRecords(t *testing.T) {
 	s := New(b.MustBuild())
 	var recs []trace.DynInst
 	for !s.Halted() {
-		d, err := s.Step()
+		d, err := step(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +208,7 @@ func TestCallReturn(t *testing.T) {
 	b.Ret(link)
 	s := New(b.MustBuild())
 	for !s.Halted() {
-		if _, err := s.Step(); err != nil {
+		if _, err := step(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,6 +217,9 @@ func TestCallReturn(t *testing.T) {
 	}
 }
 
+// TestStepAfterHalt pins the scalar oracle's halt contract, which the
+// batch/scalar equivalence tests rely on: the halt instruction itself
+// commits, and only the next Step reports errHalted.
 func TestStepAfterHalt(t *testing.T) {
 	b := prog.NewBuilder("t")
 	b.Halt()
@@ -209,8 +227,8 @@ func TestStepAfterHalt(t *testing.T) {
 	if _, err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Step(); !errors.Is(err, ErrHalted) {
-		t.Fatalf("want ErrHalted, got %v", err)
+	if _, err := s.Step(); !errors.Is(err, errHalted) {
+		t.Fatalf("want errHalted, got %v", err)
 	}
 }
 
@@ -220,9 +238,9 @@ func TestRunStopsAtHalt(t *testing.T) {
 	b.Nop()
 	b.Halt()
 	s := New(b.MustBuild())
-	n, err := s.Run(100, nil)
+	n, err := s.RunBatches(100, make([]trace.DynInst, 8), nil)
 	if err != nil || n != 3 {
-		t.Fatalf("Run = %d, %v", n, err)
+		t.Fatalf("RunBatches = %d, %v", n, err)
 	}
 }
 
@@ -231,13 +249,13 @@ func TestPCEscape(t *testing.T) {
 	b.Li(1, 0x10) // bogus target outside code
 	b.Jr(1)
 	s := New(b.MustBuild())
-	if _, err := s.Step(); err != nil {
+	if _, err := step(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Step(); err != nil {
+	if _, err := step(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Step(); err == nil {
+	if _, err := step(s); err == nil {
 		t.Fatal("expected escape error")
 	}
 }
@@ -294,8 +312,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, bsim := build(), build()
 	for !a.Halted() {
-		da, err1 := a.Step()
-		db, err2 := bsim.Step()
+		da, err1 := step(a)
+		db, err2 := step(bsim)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

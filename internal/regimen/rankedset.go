@@ -122,21 +122,24 @@ func (s RankedSet) score(p Params, starts []uint64) ([]uint64, uint64, error) {
 	size := p.Regimen.ClusterSize
 	next := 0 // first candidate whose window has not ended
 	fs := funcsim.New(p.Program)
-	ran, err := fs.Run(p.Total, func(d *trace.DynInst) {
-		if !d.IsMem() {
-			return
-		}
-		line := d.EffAddr >> sketchLineShift
-		set := line % sketchLines
-		if tags[set] == line {
-			return
-		}
-		tags[set] = line
-		for next < len(starts) && d.Seq >= starts[next]+size {
-			next++
-		}
-		if next < len(starts) && d.Seq >= starts[next] {
-			scores[next]++
+	ran, err := fs.RunBatches(p.Total, make([]trace.DynInst, funcsim.BatchSize), func(ds []trace.DynInst) {
+		for i := range ds {
+			d := &ds[i]
+			if !d.IsMem() {
+				continue
+			}
+			line := d.EffAddr >> sketchLineShift
+			set := line % sketchLines
+			if tags[set] == line {
+				continue
+			}
+			tags[set] = line
+			for next < len(starts) && d.Seq >= starts[next]+size {
+				next++
+			}
+			if next < len(starts) && d.Seq >= starts[next] {
+				scores[next]++
+			}
 		}
 	})
 	if err != nil {

@@ -87,45 +87,45 @@ func Profile(p *prog.Program, starts []uint64, clusterSize uint64, total uint64,
 	distances := make([][]uint64, len(starts))
 
 	region := 0
-	observe := func(d *trace.DynInst) {
-		if region >= len(starts) {
-			return
-		}
-		start := starts[region]
-		end := start + clusterSize
-		seq := d.Seq
-		isMem := d.IsMem()
-		var line uint64
-		if isMem {
-			line = d.EffAddr >> lineShift
-		}
-		inCluster := seq >= start && seq < end
-		inPair := seq < end // everything before the cluster end belongs to the pair
+	observe := func(ds []trace.DynInst) {
+		for i := 0; i < len(ds) && region < len(starts); i++ {
+			d := &ds[i]
+			start := starts[region]
+			end := start + clusterSize
+			seq := d.Seq
+			isMem := d.IsMem()
+			var line uint64
+			if isMem {
+				line = d.EffAddr >> lineShift
+			}
+			inCluster := seq >= start && seq < end
+			inPair := seq < end // everything before the cluster end belongs to the pair
 
-		if isMem && inPair {
-			if prev, ok := lastSeq[line]; ok {
-				w.ProfiledRefs++
-				switch kind {
-				case MRRL:
-					// Any reuse within the pair whose earlier access precedes
-					// the cluster start: warming from that earlier access
-					// would make this reference hit.
-					if prev < start && (inCluster || seq < start) {
-						distances[region] = append(distances[region], start-prev)
-					}
-				case BLRL:
-					// Only cluster references reaching into the pre-cluster.
-					if inCluster && prev < start {
-						distances[region] = append(distances[region], start-prev)
+			if isMem && inPair {
+				if prev, ok := lastSeq[line]; ok {
+					w.ProfiledRefs++
+					switch kind {
+					case MRRL:
+						// Any reuse within the pair whose earlier access
+						// precedes the cluster start: warming from that earlier
+						// access would make this reference hit.
+						if prev < start && (inCluster || seq < start) {
+							distances[region] = append(distances[region], start-prev)
+						}
+					case BLRL:
+						// Only cluster references reaching into the pre-cluster.
+						if inCluster && prev < start {
+							distances[region] = append(distances[region], start-prev)
+						}
 					}
 				}
 			}
-		}
-		if isMem {
-			lastSeq[line] = seq
-		}
-		if seq+1 == end {
-			region++
+			if isMem {
+				lastSeq[line] = seq
+			}
+			if seq+1 == end {
+				region++
+			}
 		}
 	}
 
@@ -133,7 +133,7 @@ func Profile(p *prog.Program, starts []uint64, clusterSize uint64, total uint64,
 	if last > total {
 		return nil, fmt.Errorf("reuse: clusters extend past total (%d > %d)", last, total)
 	}
-	ran, err := fs.Run(last, observe)
+	ran, err := fs.RunBatches(last, make([]trace.DynInst, funcsim.BatchSize), observe)
 	if err != nil {
 		return nil, fmt.Errorf("reuse: profiling: %w", err)
 	}

@@ -44,10 +44,13 @@ func syntheticWorkload() *prog.Program {
 	return b.MustBuild()
 }
 
-// runSampledScalar is the pre-batching controller, kept as executable
-// reference semantics: per-instruction observation through ObserveSkip and a
-// per-instruction pull closure into the timing model. The batched RunSampled
-// must produce identical results (modulo wall-clock).
+// runSampledScalar is a reference controller that moves one instruction at a
+// time: every skipped record goes through RunBatch and ObserveSkipBatch as a
+// one-element batch, and the timing model pulls its records one by one. The
+// batched RunSampled must produce identical results (modulo wall-clock), so
+// the comparison pins that results do not depend on the batch size. The
+// per-record semantics of each layer are pinned by the funcsim and warmup
+// oracles.
 func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
 	starts, err := Positions(total, reg, seed)
 	if err != nil {
@@ -64,9 +67,17 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 	for _, start := range starts {
 		skip := start - pos
 		method.BeginSkip(skip)
-		ran, err := fs.Run(skip, method.ObserveSkip)
-		if err != nil {
-			return nil, err
+		var ran uint64
+		for ran < skip {
+			d, ok, err := stepOne(fs)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			method.ObserveSkipBatch([]trace.DynInst{d})
+			ran++
 		}
 		if ran != skip {
 			return nil, fmt.Errorf("workload halted after %d skipped instructions", ran)
@@ -77,12 +88,9 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 
 		var pullErr error
 		r := sim.Simulate(reg.ClusterSize, func() (trace.DynInst, bool) {
-			d, err := fs.Step()
-			if err != nil {
-				pullErr = err
-				return trace.DynInst{}, false
-			}
-			return d, true
+			d, ok, err := stepOne(fs)
+			pullErr = err
+			return d, ok
 		})
 		if pullErr != nil {
 			return nil, pullErr
@@ -94,6 +102,14 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 	}
 	res.Work = method.Work()
 	return res, nil
+}
+
+// stepOne executes one instruction through RunBatch with a one-element
+// buffer. ok is false once the program has halted or faulted.
+func stepOne(fs *funcsim.Sim) (d trace.DynInst, ok bool, err error) {
+	var buf [1]trace.DynInst
+	n, err := fs.RunBatch(buf[:])
+	return buf[0], n == 1 && err == nil, err
 }
 
 // TestRunSampledMatchesScalarReference is the controller-level equivalence
@@ -136,12 +152,9 @@ func TestRunFullMatchesScalarReference(t *testing.T) {
 	fs := funcsim.New(p)
 	var pullErr error
 	want := sim.Simulate(total, func() (trace.DynInst, bool) {
-		d, err := fs.Step()
-		if err != nil {
-			pullErr = err
-			return trace.DynInst{}, false
-		}
-		return d, true
+		d, ok, err := stepOne(fs)
+		pullErr = err
+		return d, ok
 	})
 	if pullErr != nil {
 		t.Fatal(pullErr)

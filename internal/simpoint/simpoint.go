@@ -60,14 +60,18 @@ func Profile(p *prog.Program, total, intervalSize uint64) ([]Interval, uint64, e
 		counts = make(map[uint64]uint64)
 	}
 
-	for i := 0; i < n; i++ {
-		ran, err := fs.Run(intervalSize, func(d *trace.DynInst) {
+	buf := make([]trace.DynInst, funcsim.BatchSize)
+	observe := func(ds []trace.DynInst) {
+		for i := range ds {
 			counts[leader]++
-			if d.IsBranch() {
+			if d := &ds[i]; d.IsBranch() {
 				leader = d.NextPC
 			}
-			covered++
-		})
+		}
+	}
+	for i := 0; i < n; i++ {
+		ran, err := fs.RunBatches(intervalSize, buf, observe)
+		covered += ran
 		if err != nil {
 			return nil, covered, fmt.Errorf("simpoint: profiling: %w", err)
 		}

@@ -53,11 +53,12 @@ func genRecords(t testing.TB, n int) []trace.DynInst {
 	return buf
 }
 
-// feedScalar drives m with one region through the per-record path.
+// feedScalar drives m with one region through the per-record reference
+// semantics of oracle_test.go.
 func feedScalar(m Method, ds []trace.DynInst) {
 	m.BeginSkip(uint64(len(ds)))
 	for i := range ds {
-		m.ObserveSkip(&ds[i])
+		observeScalar(m, &ds[i])
 	}
 	m.EndSkip()
 }
@@ -91,7 +92,7 @@ func compareMethods(t *testing.T, ms, mb Method, hsState, hbState, usState, ubSt
 
 // TestBatchScalarEquivalence pins the Method interface contract: for every
 // spec in the paper's matrix and any batch split, ObserveSkipBatch must leave
-// exactly the state that per-record ObserveSkip calls would.
+// exactly the state that the per-record reference, observeScalar, would.
 func TestBatchScalarEquivalence(t *testing.T) {
 	recs := genRecords(t, 24_000)
 	half := len(recs) / 2

@@ -19,16 +19,16 @@ import (
 
 // Method is one warm-up policy attached to a sampled run. The controller
 // calls BeginSkip when a skip region starts, ObserveSkipBatch for every
-// batch of skipped dynamic instructions (ObserveSkip is the scalar
-// equivalent, kept for per-instruction callers and as the reference
-// semantics), and EndSkip immediately before the next cluster; the timing
-// model then probes Predictor() during hot execution.
+// batch of skipped dynamic instructions, and EndSkip immediately before the
+// next cluster; the timing model then probes Predictor() during hot
+// execution.
 //
-// ObserveSkipBatch(ds) must leave the method in exactly the state that
-// calling ObserveSkip for each record of ds in order would; implementations
-// here specialize the batch path (policy checks hoisted out of the loop,
-// line tracking and log appends flattened) and TestBatchScalarEquivalence
-// pins the contract.
+// ObserveSkipBatch is the only observation entry. How the region's records
+// are split into batches must not matter: observing ds in one call or in any
+// sequence of sub-slices leaves the same state. Implementations specialize
+// the batch (policy checks hoisted out of the loop, line tracking and log
+// appends flattened); TestBatchScalarEquivalence pins them against a
+// per-record reference kept in the tests.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
 // the contract the parallel cluster pipeline builds on: a region's skip
@@ -41,7 +41,6 @@ import (
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
-	ObserveSkip(d *trace.DynInst)
 	ObserveSkipBatch(ds []trace.DynInst)
 	EndSkip()
 	Predictor() bpred.Predictor
@@ -54,8 +53,8 @@ type Method interface {
 	NewRegionCapture(region int, expectedLen uint64) RegionCapture
 	// AdoptRegion installs a fed-and-sealed capture as if the method had
 	// observed the region's stream itself. It must be called between
-	// BeginSkip and EndSkip in place of the method's own ObserveSkip calls
-	// for that region, and leaves the method in exactly the state direct
+	// BeginSkip and EndSkip in place of the method's own ObserveSkipBatch
+	// calls for that region, and leaves the method in exactly the state direct
 	// observation would.
 	AdoptRegion(c RegionCapture)
 }
@@ -226,16 +225,6 @@ func newLineTracker(lineBytes int) lineTracker {
 	return lineTracker{lineMask: ^uint64(lineBytes - 1)}
 }
 
-// crossed reports whether pc enters a new cache line.
-func (t *lineTracker) crossed(pc uint64) bool {
-	line := pc & t.lineMask
-	if t.have && line == t.last {
-		return false
-	}
-	t.last, t.have = line, true
-	return true
-}
-
 func (t *lineTracker) reset() { t.have = false }
 
 // branchRecordOf converts a committed control transfer to its log record.
@@ -249,7 +238,6 @@ type none struct{ u *bpred.Unit }
 
 func (n *none) Name() string                     { return "None" }
 func (n *none) BeginSkip(uint64)                 {}
-func (n *none) ObserveSkip(*trace.DynInst)       {}
 func (n *none) ObserveSkipBatch([]trace.DynInst) {}
 func (n *none) EndSkip()                         {}
 func (n *none) Predictor() bpred.Predictor       { return n.u }
@@ -283,31 +271,16 @@ type funcWarm struct {
 
 // newFuncWarm builds the shared functional-warming state with the line
 // tracker initialized up front (as newReverse does), keeping the
-// per-instruction apply path free of construction checks.
+// batch apply path free of construction checks.
 func newFuncWarm(h *mem.Hierarchy, u *bpred.Unit, s Spec) funcWarm {
 	lt := newLineTracker(h.Config().L1I.LineBytes)
 	return funcWarm{h: h, u: u, cache: s.Cache, bp: s.BPred, label: s.Label(),
 		lineMask: lt.lineMask, lines: lt}
 }
 
-func (f *funcWarm) apply(d *trace.DynInst) {
-	if f.cache {
-		if f.lines.crossed(d.PC) {
-			f.h.WarmInst(d.PC)
-			f.work.WarmOps++
-		}
-		if d.IsMem() {
-			f.h.WarmData(d.EffAddr, d.Op.Class() == isa.ClassStore)
-			f.work.WarmOps++
-		}
-	}
-	if f.bp && d.IsBranch() {
-		f.u.Update(branchRecordOf(d))
-		f.work.WarmOps++
-	}
-}
-
-// applyBatch is apply flattened over a batch: the cache/bpred policy checks
+// applyBatch functionally warms the hierarchy and predictor with a batch of
+// skipped records: one instruction fetch per newly entered L1I line, every
+// data reference, and every control transfer. The cache/bpred policy checks
 // are hoisted out of the loop and the line tracker runs on locals, written
 // back once per batch. Cache and predictor state are independent structures,
 // so splitting the per-record interleaving into two passes leaves identical
@@ -426,7 +399,6 @@ type smarts struct{ funcWarm }
 
 func (s *smarts) Name() string                        { return s.label }
 func (s *smarts) BeginSkip(uint64)                    { s.lines.reset() }
-func (s *smarts) ObserveSkip(d *trace.DynInst)        { s.apply(d) }
 func (s *smarts) ObserveSkipBatch(ds []trace.DynInst) { s.applyBatch(ds) }
 func (s *smarts) EndSkip()                            {}
 func (s *smarts) Predictor() bpred.Predictor          { return s.u }
@@ -452,13 +424,6 @@ func (f *fixedPeriod) BeginSkip(expectedLen uint64) {
 	f.lines.reset()
 	f.seen = 0
 	f.threshold = expectedLen - expectedLen*uint64(f.percent)/100
-}
-
-func (f *fixedPeriod) ObserveSkip(d *trace.DynInst) {
-	f.seen++
-	if f.seen > f.threshold {
-		f.apply(d)
-	}
 }
 
 func (f *fixedPeriod) ObserveSkipBatch(ds []trace.DynInst) {
@@ -520,13 +485,6 @@ func (w *windowed) BeginSkip(expectedLen uint64) {
 		win = expectedLen
 	}
 	w.threshold = expectedLen - win
-}
-
-func (w *windowed) ObserveSkip(d *trace.DynInst) {
-	w.seen++
-	if w.seen > w.threshold {
-		w.apply(d)
-	}
 }
 
 func (w *windowed) ObserveSkipBatch(ds []trace.DynInst) {
@@ -611,26 +569,6 @@ func (r *reverse) BeginSkip(uint64) {
 	r.cachePlan, r.predPlan = nil, nil
 }
 
-func (r *reverse) ObserveSkip(d *trace.DynInst) {
-	if r.spec.Cache {
-		if r.lines.crossed(d.PC) {
-			r.log.AddMem(trace.MemRecord{PC: d.PC, NextPC: d.NextPC, Addr: d.PC, IsInstr: true})
-			r.work.LoggedRecords++
-		}
-		if d.IsMem() {
-			r.log.AddMem(trace.MemRecord{
-				PC: d.PC, NextPC: d.NextPC, Addr: d.EffAddr,
-				IsStore: d.Op.Class() == isa.ClassStore,
-			})
-			r.work.LoggedRecords++
-		}
-	}
-	if r.spec.BPred && d.IsBranch() {
-		r.log.AddBranch(branchRecordOf(d))
-		r.work.LoggedRecords++
-	}
-}
-
 // appendSkipRecords is the batched logging kernel shared by the reverse
 // method and its region captures: the cache/bpred policy checks are hoisted
 // out of the loop, the line tracker runs on locals, and records append
@@ -675,8 +613,8 @@ func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, d
 	return logged
 }
 
-// ObserveSkipBatch is ObserveSkip flattened over a batch via the shared
-// logging kernel.
+// ObserveSkipBatch logs the batch's cache references and branches through
+// the shared logging kernel.
 func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) {
 	r.work.LoggedRecords += appendSkipRecords(&r.log, &r.lines, r.spec.Cache, r.spec.BPred, ds)
 }

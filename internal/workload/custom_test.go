@@ -44,7 +44,7 @@ func profileCustom(t *testing.T, cfg CustomConfig, n uint64) (takenRate float64,
 	s := funcsim.New(p)
 	var cond, taken uint64
 	minA, maxA := ^uint64(0), uint64(0)
-	_, err = s.Run(n, func(d *trace.DynInst) {
+	_, err = runEach(s, n, func(d *trace.DynInst) {
 		switch d.Op.Class() {
 		case isa.ClassBranch:
 			cond++
@@ -114,8 +114,8 @@ func TestCustomDeterministic(t *testing.T) {
 	p2, _ := Custom(cfg)
 	a, b := funcsim.New(p1), funcsim.New(p2)
 	for i := 0; i < 50_000; i++ {
-		da, e1 := a.Step()
-		db, e2 := b.Step()
+		da, e1 := step(a)
+		db, e2 := step(b)
 		if e1 != nil || e2 != nil {
 			t.Fatal(e1, e2)
 		}

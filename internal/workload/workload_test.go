@@ -54,7 +54,7 @@ func run(t *testing.T, name string, n uint64) *profile {
 	}
 	s := funcsim.New(w.Build())
 	p := &profile{dataMin: ^uint64(0), distinctPCs: make(map[uint64]struct{})}
-	ran, err := s.Run(n, func(d *trace.DynInst) {
+	ran, err := runEach(s, n, func(d *trace.DynInst) {
 		p.n++
 		p.distinctPCs[d.PC] = struct{}{}
 		switch d.Op.Class() {
@@ -100,6 +100,23 @@ func run(t *testing.T, name string, n uint64) *profile {
 	return p
 }
 
+// runEach executes up to n instructions through RunBatches, calling fn for
+// every committed record in order.
+func runEach(s *funcsim.Sim, n uint64, fn func(d *trace.DynInst)) (uint64, error) {
+	return s.RunBatches(n, make([]trace.DynInst, funcsim.BatchSize), func(ds []trace.DynInst) {
+		for i := range ds {
+			fn(&ds[i])
+		}
+	})
+}
+
+// step executes one instruction through RunBatch with a one-element buffer.
+func step(s *funcsim.Sim) (trace.DynInst, error) {
+	var buf [1]trace.DynInst
+	_, err := s.RunBatch(buf[:])
+	return buf[0], err
+}
+
 func TestAllWorkloadsRunForever(t *testing.T) {
 	for _, w := range All() {
 		w := w
@@ -116,8 +133,8 @@ func TestAllWorkloadsDeterministic(t *testing.T) {
 			s1 := funcsim.New(w.Build())
 			s2 := funcsim.New(w.Build())
 			for i := 0; i < 50000; i++ {
-				d1, e1 := s1.Step()
-				d2, e2 := s2.Step()
+				d1, e1 := step(s1)
+				d2, e2 := step(s2)
 				if e1 != nil || e2 != nil {
 					t.Fatal(e1, e2)
 				}
@@ -185,7 +202,7 @@ func TestFPWorkloadsTouchFPUnits(t *testing.T) {
 		w, _ := ByName(name)
 		s := funcsim.New(w.Build())
 		fp := 0
-		s.Run(200000, func(d *trace.DynInst) {
+		runEach(s, 200000, func(d *trace.DynInst) {
 			switch d.Op.Class() {
 			case isa.ClassFPALU, isa.ClassFPMul, isa.ClassFPDiv:
 				fp++
@@ -214,7 +231,7 @@ func TestVortexDispatchSpread(t *testing.T) {
 	w, _ := ByName("vortex")
 	s := funcsim.New(w.Build())
 	targets := map[uint64]struct{}{}
-	s.Run(500000, func(d *trace.DynInst) {
+	runEach(s, 500000, func(d *trace.DynInst) {
 		if d.Op == isa.OpJr {
 			targets[d.NextPC] = struct{}{}
 		}

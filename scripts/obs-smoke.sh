@@ -51,15 +51,33 @@ while :; do
     sleep 0.2
 done
 
+# The job's own result says how many instructions its clusters measured.
+HOT_WANT=$(curl -fsS "http://$ADDR/v1/jobs/$ID" | sed -n 's/.*"HotInstructions": \([0-9]*\).*/\1/p')
+[ -n "$HOT_WANT" ] && [ "$HOT_WANT" -gt 0 ] ||
+    { echo "obs-smoke: job result lacks a positive HotInstructions" >&2; exit 1; }
+
 # Scrape /metrics and require the engine, cache, and phase families.
 METRICS="$WORKDIR/metrics.txt"
 curl -fsS "http://$ADDR/metrics" >"$METRICS"
+
+# The hot phase counter must equal the job's HotInstructions, and a daemon
+# that ran only a sampled job must record no full-detail instructions.
+HOT_GOT=$(sed -n 's/^rsr_sampling_phase_instructions_total{phase="hot"} //p' "$METRICS")
+[ "$HOT_GOT" = "$HOT_WANT" ] || {
+    echo "obs-smoke: phase=\"hot\" counter is '$HOT_GOT', job HotInstructions is $HOT_WANT" >&2
+    exit 1
+}
+FULL_GOT=$(sed -n 's/^rsr_sampling_phase_instructions_total{phase="full"} //p' "$METRICS")
+[ -z "$FULL_GOT" ] || [ "$FULL_GOT" = 0 ] || {
+    echo "obs-smoke: sampled-only run recorded $FULL_GOT phase=\"full\" instructions" >&2
+    exit 1
+}
+
 for PATTERN in \
     'rsr_engine_jobs_total{state="done"} 1' \
     'rsr_engine_cache_total{result="miss"} 1' \
     'rsr_engine_job_seconds_count{state="done"} 1' \
     'rsr_sampling_phase_seconds_bucket' \
-    'rsr_sampling_phase_instructions_total{phase="hot"} 20000' \
     'rsr_sampling_clusters_total 10' \
     'rsr_warmup_recon_applied_total' \
     'rsr_cache_events_total{' \
@@ -92,4 +110,4 @@ done
 HOT=$(grep -o '"name":"hot-sim"' "$WORKDIR/trace.json" | wc -l)
 [ "$HOT" -eq 50 ] || { echo "obs-smoke: expected 50 hot-sim spans, got $HOT" >&2; exit 1; }
 
-echo "obs-smoke: ok (metrics families present, trace covers all clusters)"
+echo "obs-smoke: ok (metrics families present, hot counter = job HotInstructions ($HOT_WANT), trace covers all clusters)"

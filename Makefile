@@ -11,8 +11,6 @@
 #   make trace-smoke fabric observability check: merged Chrome trace of a
 #                    3-process sweep (coordinator + both worker lanes, sweep
 #                    tags, clock rebase), federated /metrics, /v1/status
-#   make shard-smoke sharded-pipeline check: race-enabled full-method sweep
-#                    diffed byte-for-byte against the sequential pipeline
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the legacy run path, then
 #                    every registered strategy run end to end
@@ -24,9 +22,9 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke bench-sweep
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke
+all: build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke
 
 build:
 	$(GO) build ./...
@@ -36,14 +34,14 @@ test: build
 
 # verify keeps the concurrent engine and the simulation substrate it
 # schedules race-clean: the engine package owns the worker pool / cache /
-# single-flight machinery, and the sampling package carries both the
-# fresh-state-per-call concurrency contract the engine relies on and the
-# sharded cluster pipeline (parallel_test.go's byte-identity and
-# cancellation tests run under -race here). The cluster and cas packages
-# carry the distributed scheduler and the shared content-addressed store,
-# both all-mutex-and-goroutine code. The regimen package's strategies drive
-# the sharded pipeline and cancellation channel, so its byte-identity and
-# cancellation tests run under -race too.
+# single-flight machinery, and the sampling package carries the
+# fresh-state-per-call concurrency contract the engine relies on
+# (TestRunSampledFreshStatePerCall and TestRunFullFreshStatePerCall run
+# concurrent runs of one job) and the cancellation channel a run polls while
+# another goroutine closes it. The cluster and cas packages carry the
+# distributed scheduler and the shared content-addressed store, both
+# all-mutex-and-goroutine code. The regimen package's strategies take the
+# same cancellation channel, so its cancellation tests run under -race too.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
@@ -87,13 +85,6 @@ trace-smoke: build
 # single-node run, with replay and reconnect metrics as evidence.
 recovery-smoke: build
 	./scripts/recovery-smoke.sh
-
-# shard-smoke proves the sharded cluster pipeline end to end with the real
-# CLI: the full warm-up sweep (every method, funcWarm included) run under
-# the race detector at several shard counts must be byte-identical to the
-# sequential pipeline. scripts/shard-smoke.sh diffs the sweep tables.
-shard-smoke:
-	./scripts/shard-smoke.sh
 
 # regimen-smoke proves the sampling-strategy seam end to end with the real
 # CLI: `-regimen stratified-uniform` must be byte-identical to the legacy

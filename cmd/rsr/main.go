@@ -27,19 +27,18 @@
 //	strategies sampling-strategy head-to-head: every registered strategy on
 //	           the lab's workloads, scored against the true IPC
 //	top        live cluster status view (requires -cluster): queue depths,
-//	           in-flight leases, shard utilization, stragglers, journal
-//	           fsync latency, refreshed every second until interrupted
+//	           in-flight leases, stragglers, journal fsync latency,
+//	           refreshed every second until interrupted
 //
 // Flags:
 //
 //	-cluster url   run jobs on a sweep-fabric coordinator (cmd/rsrc) instead
 //	               of a local engine, e.g. -cluster http://host:9900
-//	-scale f       scale workload length (1.0 = 20M instructions)
+//	-scale f       scale workload length (1.0 = 20M instructions; must be
+//	               positive and finite)
 //	-seed n        cluster placement seed
 //	-workloads s   comma-separated workload subset
 //	-parallel n    engine worker-pool size (0 = GOMAXPROCS; 1 for clean per-run wall times)
-//	-shards n      cluster-pipeline shards inside each sampled run
-//	               (default GOMAXPROCS; 1 = sequential; byte-identical either way)
 //	-cachedir s    content-addressed result cache directory (persists runs across invocations)
 //	-retries n     extra execution attempts for transiently failed jobs (worker panics)
 //	-stats         print engine scheduler/cache statistics to stderr when done
@@ -63,6 +62,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -84,6 +84,17 @@ import (
 	"rsr/internal/workload"
 )
 
+// checkScale rejects a -scale that does not name a positive, finite
+// workload length. experiments.Config.Total maps 0 and negative scales to
+// the full default length, and NaN or ±Inf to an undefined instruction
+// count, so either would silently simulate the wrong workload.
+func checkScale(s float64) error {
+	if !(s > 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("-scale %v: must be a positive, finite number", s)
+	}
+	return nil
+}
+
 // clusterRunner adapts the cluster client to the lab's Runner seam.
 type clusterRunner struct{ c *cluster.Client }
 
@@ -103,7 +114,6 @@ func main() {
 	seed := flag.Int64("seed", 2007, "cluster placement seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload subset")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run (1 = sequential; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	retries := flag.Int("retries", 0, "extra execution attempts for transiently failed jobs (worker panics)")
 	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
@@ -117,6 +127,10 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine, phase, warm-up families) to `file` on exit")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's phases to `file` on exit (open in chrome://tracing or ui.perfetto.dev)")
 	flag.Parse()
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "rsr:", err)
+		os.Exit(2)
+	}
 
 	var cpuFile *os.File
 	if *cpuProfile != "" {
@@ -196,7 +210,6 @@ func main() {
 	cfg.Parallelism = *parallel
 	cfg.CacheDir = *cacheDir
 	cfg.Retries = *retries
-	cfg.Shards = *shards
 	cfg.Metrics = reg
 	cfg.Tracer = tracer
 	if *workloadsFlag != "" {
@@ -552,7 +565,6 @@ func runStrategy(lab *experiments.Lab, cfg experiments.Config, wl, name string, 
 	if err != nil {
 		return err
 	}
-	shards := cfg.Shards
 	out, err := strat.Run(regimen.Params{
 		Program: w.Build(),
 		Machine: sampling.DefaultMachine(),
@@ -560,7 +572,6 @@ func runStrategy(lab *experiments.Lab, cfg experiments.Config, wl, name string, 
 		Total:   cfg.Total(),
 		Seed:    cfg.Seed,
 		Warmup:  spec,
-		Shards:  shards,
 		Instr:   regimen.NewInstruments(cfg.Metrics),
 	})
 	if err != nil {

@@ -13,12 +13,10 @@ func TestRenderStatusSortsStragglersFirst(t *testing.T) {
 		Lobby: 1, Queued: 4, Running: 2, Done: 10, Failed: 1, Sweeps: 1,
 		JournalFsyncs: 42, JournalFsyncMeanMS: 0.8, JournalFsyncP99MS: 2.5,
 		Nodes: []cluster.NodeStatus{
-			{Node: "worker-a", QueueDepth: 2, Inflight: 1, ShardsInUse: 4,
-				ShardCapacity: 8, BeatAgeMS: 120, ClockOffsetNS: 1_500_000,
-				OldestLeaseAgeMS: 900, OldestLeaseJob: "abcd1234"},
-			{Node: "worker-b", QueueDepth: 1, Inflight: 2, ShardsInUse: 8,
-				ShardCapacity: 8, BeatAgeMS: 80, ClockOffsetNS: -3_000,
-				OldestLeaseAgeMS: 4_200, OldestLeaseJob: "ef567890"},
+			{Node: "worker-a", QueueDepth: 2, Inflight: 1, BeatAgeMS: 120,
+				ClockOffsetNS: 1_500_000, OldestLeaseAgeMS: 900, OldestLeaseJob: "abcd1234"},
+			{Node: "worker-b", QueueDepth: 1, Inflight: 2, BeatAgeMS: 80,
+				ClockOffsetNS: -3_000, OldestLeaseAgeMS: 4_200, OldestLeaseJob: "ef567890"},
 		},
 	}
 	out := renderStatus(st, time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC))

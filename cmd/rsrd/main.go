@@ -20,10 +20,8 @@
 //
 // With -peer, the daemon additionally joins the sweep fabric of the rsrc
 // coordinator at -coordinator: it heartbeats, pulls work, runs it on the
-// local engine, uploads results to the coordinator's content-addressed
-// store, and shares pre-pass checkpoint chains through the same store so
-// sibling nodes skip redundant functional warm-up. The local HTTP API stays
-// fully usable in peer mode.
+// local engine, and uploads results to the coordinator's content-addressed
+// store. The local HTTP API stays fully usable in peer mode.
 //
 // Every request is logged as one structured log/slog line (method, path,
 // status, duration, request ID); the ID is echoed as X-Request-ID, and a
@@ -114,22 +112,14 @@ func main() {
 	// recording cost is only paid per span, and serving it at /v1/trace is
 	// what lets a coordinator assemble fabric-wide sweep traces on demand.
 	tracer := obs.NewTracer(*traceCap)
-	engOpts := engine.Options{
+	eng := engine.New(engine.Options{
 		Workers:        *parallel,
 		CacheDir:       *cacheDir,
 		DefaultTimeout: *jobTimeout,
 		MaxAttempts:    *retries + 1,
 		Metrics:        reg,
 		Tracer:         tracer,
-	}
-	if *peerMode {
-		// Share pre-pass checkpoint chains through the coordinator's CAS:
-		// the first node to shard a pre-pass publishes the chain, siblings
-		// skip straight to detailed simulation. Execution policy only —
-		// results stay byte-identical.
-		engOpts.Checkpoints = cluster.NewCASCheckpoints(*coordinator, nil, log)
-	}
-	eng := engine.New(engOpts)
+	})
 
 	srv := newServer(eng, reg, tracer, log, *drainTimeout)
 	hs := &http.Server{Addr: *addr, Handler: srv.routes()}

@@ -165,10 +165,6 @@ type jobRequest struct {
 	Regimen  *sampling.Regimen `json:"regimen,omitempty"`
 	// TimeoutMS bounds the job's execution in milliseconds (0 = engine default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards runs a sampled job through the parallel cluster pipeline with
-	// this many shard goroutines (0 or 1 = sequential). Results are
-	// byte-identical either way, so shards do not enter the job's identity.
-	Shards int `json:"shards,omitempty"`
 }
 
 // toJob resolves the request against the reproduction defaults.
@@ -181,7 +177,6 @@ func (r jobRequest) toJob() (engine.Job, error) {
 		Total:    def.Total(),
 		Seed:     def.Seed,
 		Timeout:  time.Duration(r.TimeoutMS) * time.Millisecond,
-		Shards:   r.Shards,
 	}
 	if r.Kind != "" {
 		j.Kind = engine.JobKind(r.Kind)

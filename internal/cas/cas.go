@@ -1,6 +1,6 @@
 // Package cas is a content-addressed blob store shared by the distributed
-// sweep fabric: finished results and pre-pass checkpoint chains travel
-// between nodes as blobs keyed by the hex SHA-256 of their bytes.
+// sweep fabric: finished results travel between nodes as blobs keyed by the
+// hex SHA-256 of their bytes.
 //
 // Content addressing makes every blob self-verifying, the same discipline
 // as the engine's result-cache envelopes: a reader recomputes the sum and
@@ -9,11 +9,6 @@
 // never silently deleted), and the caller falls back to recomputing or
 // refetching from a healthy peer. Because blobs are pure functions of their
 // key, writes race benignly: every writer writes the same bytes.
-//
-// Alongside the blob space the store keeps a small name index mapping
-// semantic keys (e.g. a checkpoint chain's identity hash) to blob sums.
-// Index entries are only ever written for deterministic artifacts, so a
-// lost or re-linked entry costs a recompute, never correctness.
 package cas
 
 import (
@@ -28,7 +23,7 @@ import (
 	"sync/atomic"
 )
 
-// ErrNotFound reports a blob or index key that is not in the store.
+// ErrNotFound reports a blob that is not in the store.
 var ErrNotFound = errors.New("cas: not found")
 
 // ErrCorrupt reports a blob whose bytes did not hash to its key. The entry
@@ -64,9 +59,8 @@ type Stats struct {
 type Store struct {
 	dir string // "" = memory only
 
-	mu    sync.Mutex
-	mem   map[string][]byte // blob sum -> bytes
-	index map[string]string // semantic key -> blob sum
+	mu  sync.Mutex
+	mem map[string][]byte // blob sum -> bytes
 
 	hits, misses, corrupt, puts atomic.Int64
 }
@@ -75,17 +69,11 @@ type Store struct {
 // is created lazily on first write, so an unusable path degrades writes,
 // never construction.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, mem: make(map[string][]byte), index: make(map[string]string)}
+	return &Store{dir: dir, mem: make(map[string][]byte)}
 }
 
 func (s *Store) blobPath(sum string) string {
 	return filepath.Join(s.dir, "blobs", sum)
-}
-
-func (s *Store) indexPath(key string) string {
-	// Index keys are themselves hex hashes or URL-safe tokens upstream, but
-	// hash defensively so arbitrary keys cannot escape the directory.
-	return filepath.Join(s.dir, "index", Sum([]byte(key)))
 }
 
 // Put stores b and returns its sum. Storing bytes that are already present
@@ -156,47 +144,6 @@ func (s *Store) Has(sum string) bool {
 	}
 	fi, err := os.Stat(s.blobPath(sum))
 	return err == nil && fi.Mode().IsRegular()
-}
-
-// Link binds a semantic key to a blob sum in the name index.
-func (s *Store) Link(key, sum string) error {
-	if !ValidSum(sum) {
-		return fmt.Errorf("cas: link %q: malformed sum %q", key, sum)
-	}
-	s.mu.Lock()
-	s.index[key] = sum
-	s.mu.Unlock()
-	if s.dir == "" {
-		return nil
-	}
-	if err := s.writeFile(s.indexPath(key), []byte(sum)); err != nil {
-		return fmt.Errorf("cas: link %q: %w", key, err)
-	}
-	return nil
-}
-
-// Resolve returns the blob sum bound to key, or ErrNotFound. A malformed
-// index entry (truncated, scribbled) is treated as absent: the index is a
-// cache of recomputable bindings, not a source of truth.
-func (s *Store) Resolve(key string) (string, error) {
-	s.mu.Lock()
-	sum, ok := s.index[key]
-	s.mu.Unlock()
-	if ok {
-		return sum, nil
-	}
-	if s.dir == "" {
-		return "", ErrNotFound
-	}
-	b, err := os.ReadFile(s.indexPath(key))
-	if err != nil || !ValidSum(string(b)) {
-		return "", ErrNotFound
-	}
-	sum = string(b)
-	s.mu.Lock()
-	s.index[key] = sum
-	s.mu.Unlock()
-	return sum, nil
 }
 
 // Evict drops the in-memory copy of a blob. A disk copy (when a directory

@@ -32,17 +32,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		if _, err := s.Get(Sum([]byte("absent"))); err != ErrNotFound {
 			t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
 		}
-
-		if err := s.Link("ckpt|twolf", sum); err != nil {
-			t.Fatalf("Link: %v", err)
-		}
-		r, err := s.Resolve("ckpt|twolf")
-		if err != nil || r != sum {
-			t.Fatalf("Resolve = %s, %v", r, err)
-		}
-		if _, err := s.Resolve("missing"); err != ErrNotFound {
-			t.Fatalf("Resolve(missing) err = %v, want ErrNotFound", err)
-		}
 	}
 }
 
@@ -53,18 +42,12 @@ func TestStoreDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := NewStore(dir).Link("k", sum); err != nil {
-		t.Fatalf("Link: %v", err)
-	}
 
-	// A fresh store over the same directory sees both spaces.
+	// A fresh store over the same directory sees the blob.
 	s := NewStore(dir)
 	got, err := s.Get(sum)
 	if err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("Get after reopen = %q, %v", got, err)
-	}
-	if r, err := s.Resolve("k"); err != nil || r != sum {
-		t.Fatalf("Resolve after reopen = %s, %v", r, err)
 	}
 }
 
@@ -115,13 +98,6 @@ func TestServerClientRoundTrip(t *testing.T) {
 	got, err := c.Fetch(ctx, sum)
 	if err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("Fetch = %q, %v", got, err)
-	}
-	if err := c.Link(ctx, "result|abc", sum); err != nil {
-		t.Fatalf("Link: %v", err)
-	}
-	got, err = c.FetchKey(ctx, "result|abc")
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("FetchKey = %q, %v", got, err)
 	}
 	if _, err := c.Fetch(ctx, Sum([]byte("nope"))); err == nil {
 		t.Fatal("Fetch of absent blob succeeded")

@@ -14,7 +14,7 @@ import (
 // never served — and a multi-source client transparently refetches the
 // same content from a healthy peer.
 func TestChaosCorruptBlobRefetchedFromHealthyPeer(t *testing.T) {
-	blob := []byte("checkpoint chain bytes: pure function of (workload, boundaries)")
+	blob := []byte("result bytes: pure function of the job")
 	sum := Sum(blob)
 
 	// Two peers hold the blob; one's copy is torn on disk (a crash

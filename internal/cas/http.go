@@ -11,8 +11,7 @@ import (
 )
 
 // maxBlobBytes bounds a single blob accepted over HTTP. Results are a few
-// KB; checkpoint chains carry dirty-page images and can reach tens of MB on
-// long runs, so the ceiling is generous without being unbounded.
+// KB, so the ceiling is generous without being unbounded.
 const maxBlobBytes = 1 << 30
 
 // Server exposes a Store over HTTP under a mount prefix:
@@ -20,8 +19,6 @@ const maxBlobBytes = 1 << 30
 //	GET  <prefix>/blobs/{sum}  the blob (404 unknown or quarantined)
 //	HEAD <prefix>/blobs/{sum}  existence probe
 //	PUT  <prefix>/blobs/{sum}  store a blob; the body must hash to {sum}
-//	GET  <prefix>/index/{key}  the blob sum bound to a semantic key
-//	PUT  <prefix>/index/{key}  bind key to the sum in the body
 //
 // Every served blob was verified against its key on the way out of the
 // store, and every accepted blob is verified against the claimed sum on the
@@ -37,22 +34,11 @@ func NewServer(store *Store, prefix string) *Server {
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rest, ok := strings.CutPrefix(r.URL.Path, s.prefix+"/")
+	sum, ok := strings.CutPrefix(r.URL.Path, s.prefix+"/blobs/")
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	switch {
-	case strings.HasPrefix(rest, "blobs/"):
-		s.serveBlob(w, r, strings.TrimPrefix(rest, "blobs/"))
-	case strings.HasPrefix(rest, "index/"):
-		s.serveIndex(w, r, strings.TrimPrefix(rest, "index/"))
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, sum string) {
 	if !ValidSum(sum) {
 		http.Error(w, "cas: malformed blob sum", http.StatusBadRequest)
 		return
@@ -96,36 +82,6 @@ func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, sum string) {
 		w.WriteHeader(http.StatusCreated)
 	default:
 		http.Error(w, "GET, HEAD, or PUT", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, key string) {
-	if key == "" {
-		http.Error(w, "cas: empty index key", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		sum, err := s.store.Resolve(key)
-		if err != nil {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		_, _ = io.WriteString(w, sum)
-	case http.MethodPut:
-		b, err := io.ReadAll(io.LimitReader(r.Body, 256))
-		if err != nil || !ValidSum(string(b)) {
-			http.Error(w, "cas: body must be a blob sum", http.StatusBadRequest)
-			return
-		}
-		if err := s.store.Link(key, string(b)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	default:
-		http.Error(w, "GET or PUT", http.StatusMethodNotAllowed)
 	}
 }
 
@@ -200,55 +156,4 @@ func (c *Client) Put(ctx context.Context, b []byte) (string, error) {
 		return "", fmt.Errorf("cas: put %s: status %d", short(sum), resp.StatusCode)
 	}
 	return sum, nil
-}
-
-// Link binds key to sum at the primary base.
-func (c *Client) Link(ctx context.Context, key, sum string) error {
-	if len(c.bases) == 0 {
-		return fmt.Errorf("cas: client has no bases")
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.bases[0]+"/index/"+key, strings.NewReader(sum))
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("cas: link %q: status %d", key, resp.StatusCode)
-	}
-	return nil
-}
-
-// FetchKey resolves key at each base in turn and fetches the bound blob.
-func (c *Client) FetchKey(ctx context.Context, key string) ([]byte, error) {
-	var lastErr error = ErrNotFound
-	for _, base := range c.bases {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/index/"+key, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || !ValidSum(string(b)) {
-			lastErr = ErrNotFound
-			continue
-		}
-		blob, err := c.Fetch(ctx, string(b))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return blob, nil
-	}
-	return nil, lastErr
 }

@@ -75,38 +75,6 @@ func beat(t *testing.T, co *Coordinator, node string) {
 	}
 }
 
-// TestHeartbeatShardUtilization pins the shard-telemetry path: a worker's
-// self-reported shard usage and capacity land in the coordinator's node
-// state and are exported per node on /metrics, and a later heartbeat that
-// omits the additive fields (an older worker) zeroes them rather than
-// leaving a stale reading.
-func TestHeartbeatShardUtilization(t *testing.T) {
-	reg := obs.NewRegistry()
-	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 2, HeartbeatTimeout: time.Hour, Log: testLogger(), Metrics: reg,
-	})
-	defer co.Close()
-
-	if err := co.Heartbeat(Heartbeat{Node: "a", Protocol: ProtocolVersion,
-		ShardsInUse: 6, ShardCapacity: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(reg, "rsr_cluster_node_shards_inuse"); got != 6 {
-		t.Fatalf("rsr_cluster_node_shards_inuse = %v, want 6", got)
-	}
-	if got := metricValue(reg, "rsr_cluster_node_shard_capacity"); got != 8 {
-		t.Fatalf("rsr_cluster_node_shard_capacity = %v, want 8", got)
-	}
-
-	beat(t, co, "a") // no shard fields: an older worker's heartbeat
-	if got := metricValue(reg, "rsr_cluster_node_shards_inuse"); got != 0 {
-		t.Fatalf("shards_inuse after field-less heartbeat = %v, want 0", got)
-	}
-	if got := metricValue(reg, "rsr_cluster_node_shard_capacity"); got != 0 {
-		t.Fatalf("shard_capacity after field-less heartbeat = %v, want 0", got)
-	}
-}
-
 func TestSchedulerBackpressure(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker: 2, HeartbeatTimeout: time.Hour, Log: testLogger(),
@@ -576,7 +544,7 @@ func TestSubmitBackpressure503WithRetryAfter(t *testing.T) {
 // --- full-fabric tests: coordinator + HTTP + real peers with real engines ---
 
 // fabric is an in-process cluster: one coordinator behind httptest, n peers
-// each with its own engine sharing checkpoints through the coordinator CAS.
+// each with its own engine.
 type fabric struct {
 	co      *Coordinator
 	ts      *httptest.Server
@@ -599,10 +567,7 @@ func newFabric(t *testing.T, copts CoordinatorOptions, npeers int) *fabric {
 	ts := httptest.NewServer(NewServer(co, copts.Metrics, copts.Log).Routes())
 	f := &fabric{co: co, ts: ts, reg: copts.Metrics}
 	for i := 0; i < npeers; i++ {
-		eng := engine.New(engine.Options{
-			Workers:     2,
-			Checkpoints: NewCASCheckpoints(ts.URL, nil, copts.Log),
-		})
+		eng := engine.New(engine.Options{Workers: 2})
 		p, err := NewPeer(PeerOptions{
 			Node:           fmt.Sprintf("peer-%c", 'a'+i),
 			Coordinator:    ts.URL,
@@ -639,8 +604,7 @@ func (f *fabric) close() {
 }
 
 // sweepJobs is a small mixed sweep: sampled runs across workloads and
-// methods (sharded, so checkpoint chains flow through the CAS) plus one
-// full baseline.
+// methods plus one full baseline.
 func sweepJobs(t *testing.T) []engine.Job {
 	t.Helper()
 	reg := sampling.Regimen{ClusterSize: 2000, NumClusters: 10}
@@ -659,7 +623,6 @@ func sweepJobs(t *testing.T) []engine.Job {
 				Regimen:  reg,
 				Seed:     2007,
 				Warmup:   spec,
-				Shards:   2,
 			})
 		}
 	}
@@ -697,8 +660,7 @@ func canon(t *testing.T, res *engine.Result) string {
 }
 
 // TestClusterSweepByteIdenticalToSingleNode is the fabric's tentpole
-// contract: a sweep scheduled across two peer workers — with sharded
-// pre-pass checkpoints flowing through the shared CAS — produces results
+// contract: a sweep scheduled across two peer workers produces results
 // byte-identical to the same jobs run on one local engine.
 func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 	f := newFabric(t, CoordinatorOptions{

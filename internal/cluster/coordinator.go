@@ -52,8 +52,8 @@ type CoordinatorOptions struct {
 	// site: a fault.CoordKill firing makes the coordinator crash abruptly
 	// (see Crash) — the journal's moment of truth.
 	Fault fault.Injector
-	// Store is the shared content-addressed store for result blobs and
-	// checkpoint chains (nil = a private in-memory store).
+	// Store is the shared content-addressed store for result blobs (nil = a
+	// private in-memory store).
 	Store *cas.Store
 	// Metrics, when non-nil, exposes the fabric's per-node gauges and
 	// scheduling counters for the coordinator's /metrics.
@@ -122,11 +122,6 @@ type node struct {
 	// engQueued/engRunning are the worker's self-reported engine counters,
 	// surfaced per node on the coordinator's /metrics.
 	engQueued, engRunning int64
-	// shardsInUse/shardCapacity are the worker's self-reported shard
-	// utilization (heartbeat payload): shard goroutines occupied by executing
-	// jobs vs the node's GOMAXPROCS. Older workers omit them (zero).
-	shardsInUse   int64
-	shardCapacity int
 	// clockOffsetNS/clockRTTNS are the worker's self-estimated clock offset
 	// relative to this coordinator and the RTT bounding it (heartbeat
 	// payload; see EstimateOffset). Used to rebase the node's span
@@ -706,7 +701,6 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 	}
 	n := c.touch(hb.Node)
 	n.engQueued, n.engRunning = hb.QueueDepth, hb.Inflight
-	n.shardsInUse, n.shardCapacity = hb.ShardsInUse, hb.ShardCapacity
 	if hb.Addr != "" {
 		n.addr = hb.Addr
 	}
@@ -1375,8 +1369,6 @@ func (c *Coordinator) StatusSnapshot() ClusterStatus {
 			Inflight:      len(n.leases),
 			EngQueued:     n.engQueued,
 			EngRunning:    n.engRunning,
-			ShardsInUse:   n.shardsInUse,
-			ShardCapacity: n.shardCapacity,
 			ClockOffsetNS: n.clockOffsetNS,
 			ClockRTTNS:    n.clockRTTNS,
 		}

@@ -36,8 +36,6 @@ type coordObs struct {
 	inflight    *obs.GaugeVec // label: node
 	engQueued   *obs.GaugeVec // label: node
 	engRunning  *obs.GaugeVec // label: node
-	shardsUsed  *obs.GaugeVec // label: node
-	shardCap    *obs.GaugeVec // label: node
 	oldestLease *obs.GaugeVec // label: node
 	clockOffset *obs.GaugeVec // label: node
 	sweepJobs   *obs.GaugeVec // label: state (pending|running|done|failed)
@@ -48,8 +46,6 @@ type nodeSnap struct {
 	name                  string
 	queue, leases         int
 	engQueued, engRunning int64
-	shardsInUse           int64
-	shardCapacity         int
 	oldestLeaseMS         int64 // age of the node's slowest in-flight lease
 	clockOffsetNS         int64
 }
@@ -71,8 +67,6 @@ func (c *Coordinator) snapshotNodes() (ns []nodeSnap, lobby int, sj sweepJobsSna
 			leases:        len(n.leases),
 			engQueued:     n.engQueued,
 			engRunning:    n.engRunning,
-			shardsInUse:   n.shardsInUse,
-			shardCapacity: n.shardCapacity,
 			clockOffsetNS: n.clockOffsetNS,
 		}
 		for id := range n.leases {
@@ -156,10 +150,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 		"Worker-reported local engine queue depth (heartbeat payload).", "node")
 	o.engRunning = reg.GaugeVec("rsr_cluster_node_engine_running",
 		"Worker-reported local engine running jobs (heartbeat payload).", "node")
-	o.shardsUsed = reg.GaugeVec("rsr_cluster_node_shards_inuse",
-		"Worker-reported shard goroutines occupied by executing jobs (heartbeat payload).", "node")
-	o.shardCap = reg.GaugeVec("rsr_cluster_node_shard_capacity",
-		"Worker-reported shard capacity, its GOMAXPROCS (heartbeat payload).", "node")
 	o.oldestLease = reg.GaugeVec("rsr_cluster_node_oldest_lease_age_ms",
 		"Age in milliseconds of the node's slowest in-flight lease — the straggler signal.", "node")
 	o.clockOffset = reg.GaugeVec("rsr_cluster_node_clock_offset_ns",
@@ -178,8 +168,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 			o.inflight.With(n.name).Set(int64(n.leases))
 			o.engQueued.With(n.name).Set(n.engQueued)
 			o.engRunning.With(n.name).Set(n.engRunning)
-			o.shardsUsed.With(n.name).Set(n.shardsInUse)
-			o.shardCap.With(n.name).Set(int64(n.shardCapacity))
 			o.oldestLease.With(n.name).Set(n.oldestLeaseMS)
 			o.clockOffset.With(n.name).Set(n.clockOffsetNS)
 		}
@@ -199,8 +187,6 @@ func (o *coordObs) zeroNode(name string) {
 	o.inflight.With(name).Set(0)
 	o.engQueued.With(name).Set(0)
 	o.engRunning.With(name).Set(0)
-	o.shardsUsed.With(name).Set(0)
-	o.shardCap.With(name).Set(0)
 	o.oldestLease.With(name).Set(0)
 	o.clockOffset.With(name).Set(0)
 }

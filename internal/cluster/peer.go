@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -345,10 +344,10 @@ func (p *Peer) reconnect() bool {
 }
 
 // beat sends one heartbeat carrying the local engine's queue depth, in-flight
-// count, shard utilization, and the IDs of every lease this peer is
-// executing — the coordinator's per-node backpressure signal and, after a
-// coordinator restart, the evidence it needs to re-adopt running leases. A
-// 409 means protocol skew (a coordinator upgraded under us): fail fast.
+// count, and the IDs of every lease this peer is executing — the
+// coordinator's per-node backpressure signal and, after a coordinator
+// restart, the evidence it needs to re-adopt running leases. A 409 means
+// protocol skew (a coordinator upgraded under us): fail fast.
 // The round-trip doubles as an NTP-style clock sample: the coordinator's
 // reply carries its clock, and the worker's send/receive stamps bracket it;
 // the resulting best offset estimate rides in the *next* heartbeat so the
@@ -357,14 +356,12 @@ func (p *Peer) reconnect() bool {
 func (p *Peer) beat() bool {
 	st := p.opts.Engine.Stats()
 	hb := Heartbeat{
-		Node:          p.opts.Node,
-		Protocol:      ProtocolVersion,
-		Addr:          p.opts.Advertise,
-		QueueDepth:    st.Queued,
-		Inflight:      st.Running,
-		ShardsInUse:   st.ShardsInUse,
-		ShardCapacity: runtime.GOMAXPROCS(0),
-		Leases:        p.inflightLeases(),
+		Node:       p.opts.Node,
+		Protocol:   ProtocolVersion,
+		Addr:       p.opts.Advertise,
+		QueueDepth: st.Queued,
+		Inflight:   st.Running,
+		Leases:     p.inflightLeases(),
 	}
 	if off, rtt, ok := p.offsets.Best(); ok {
 		hb.ClockOffsetNS, hb.ClockRTTNS = off, rtt

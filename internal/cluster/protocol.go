@@ -20,17 +20,13 @@
 // completion) produce byte-identical results, and the first verified
 // completion wins.
 //
-// # Results and checkpoints
+// # Results
 //
 // Workers do not send results inline: a finished result is PUT into the
 // coordinator's content-addressed store (internal/cas) and the completion
 // report carries only the blob's SHA-256. The coordinator refuses blobs that
 // do not decode to a result of the completed job, so a corrupt or misrouted
-// upload can never complete an item. The same store shares pre-pass
-// checkpoint chains (sampling.CheckpointStore) across nodes: the first
-// worker to shard a given pre-pass publishes the chain, every later run of
-// any job sharing that chain — on any node — skips straight to detailed
-// simulation.
+// upload can never complete an item.
 package cluster
 
 import (
@@ -106,28 +102,20 @@ func Version() VersionInfo {
 	return v
 }
 
-// Heartbeat is a worker's periodic liveness report. QueueDepth, Inflight,
-// and the shard fields are the worker's local engine counters — the
-// coordinator exposes them per-node on /metrics, giving operators the
-// backpressure picture end to end: coordinator queue depth on one side,
-// engine queue depth and shard utilization on the other. The shard fields
-// are additive (older workers simply omit them), so they do not bump
-// ProtocolVersion.
+// Heartbeat is a worker's periodic liveness report. QueueDepth and Inflight
+// are the worker's local engine counters — the coordinator exposes them
+// per-node on /metrics, giving operators the backpressure picture end to
+// end: coordinator queue depth on one side, engine queue depth on the other.
 type Heartbeat struct {
 	Node       string `json:"node"`
 	Protocol   int    `json:"protocol"`
 	QueueDepth int64  `json:"queue_depth"`
 	Inflight   int64  `json:"inflight"`
-	// ShardsInUse sums the shard counts of the jobs executing on the node
-	// right now (engine.Stats.ShardsInUse); ShardCapacity is the node's
-	// GOMAXPROCS. InUse/Capacity is the node's shard utilization.
-	ShardsInUse   int64 `json:"shards_in_use,omitempty"`
-	ShardCapacity int   `json:"shard_capacity,omitempty"`
 	// Leases lists the job IDs this worker is executing right now. A
 	// journal-recovered coordinator uses them during its re-adoption window to
 	// re-attach in-flight leases instead of reaping and redoing the work; a
-	// coordinator with no recovered state ignores them. Additive, like the
-	// shard fields, so no ProtocolVersion bump.
+	// coordinator with no recovered state ignores them. Additive (older
+	// workers simply omit it), so no ProtocolVersion bump.
 	Leases []string `json:"leases,omitempty"`
 	// Addr is the worker's advertised HTTP base URL (e.g. http://host:8745),
 	// the address the coordinator uses to pull the node's span ring and
@@ -217,8 +205,6 @@ type NodeStatus struct {
 	Inflight      int    `json:"inflight"`
 	EngQueued     int64  `json:"eng_queued"`
 	EngRunning    int64  `json:"eng_running"`
-	ShardsInUse   int64  `json:"shards_in_use"`
-	ShardCapacity int    `json:"shard_capacity"`
 	ClockOffsetNS int64  `json:"clock_offset_ns,omitempty"`
 	ClockRTTNS    int64  `json:"clock_rtt_ns,omitempty"`
 	// OldestLeaseAgeMS / OldestLeaseJob identify the node's slowest
@@ -240,8 +226,8 @@ type ClusterStatus struct {
 	// Journal fsync latency summary (zero when the coordinator runs without
 	// a journal): count of fsyncs, their mean, and an upper bound on the
 	// 99th percentile from the histogram's bucket layout.
-	JournalFsyncs      uint64  `json:"journal_fsyncs,omitempty"`
-	JournalFsyncMeanMS float64 `json:"journal_fsync_mean_ms,omitempty"`
-	JournalFsyncP99MS  float64 `json:"journal_fsync_p99_ms,omitempty"`
+	JournalFsyncs      uint64       `json:"journal_fsyncs,omitempty"`
+	JournalFsyncMeanMS float64      `json:"journal_fsync_mean_ms,omitempty"`
+	JournalFsyncP99MS  float64      `json:"journal_fsync_p99_ms,omitempty"`
 	Nodes              []NodeStatus `json:"nodes"`
 }

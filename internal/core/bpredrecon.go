@@ -128,18 +128,11 @@ func (p *ReconPredictor) BeginRegion(fullLog []trace.BranchRecord, percent int) 
 // zero lands at the end (bottom) of the stack; otherwise a push cancels a
 // pop. Reconstruction stops when the stack is full.
 func (p *ReconPredictor) reconstructRAS() {
-	fills := planRASFills(p.log, p.unit.RAS.Depth())
-	p.installRAS(fills)
-}
-
-// planRASFills computes the RAS contents (youngest first) the reverse counter
-// algorithm reconstructs from the suffix: a pure function of the log, safe to
-// run shard-side.
-func planRASFills(log []trace.BranchRecord, depth int) []uint64 {
+	depth := p.unit.RAS.Depth()
 	fills := make([]uint64, 0, depth) // youngest first
 	counter := 0
-	for i := len(log) - 1; i >= 0 && len(fills) < depth; i-- {
-		r := &log[i]
+	for i := len(p.log) - 1; i >= 0 && len(fills) < depth; i-- {
+		r := &p.log[i]
 		switch {
 		case r.IsReturn():
 			counter++
@@ -151,146 +144,11 @@ func planRASFills(log []trace.BranchRecord, depth int) []uint64 {
 			}
 		}
 	}
-	return fills
-}
-
-func (p *ReconPredictor) installRAS(fills []uint64) {
 	p.unit.RAS.Clear()
 	for i := len(fills) - 1; i >= 0; i-- {
 		p.unit.RAS.Push(fills[i])
 	}
 	p.stats.RASInstalled = uint64(len(fills))
-}
-
-// PredGeom is the predictor geometry a shard-side planner needs: a snapshot
-// of plain ints so producer goroutines never touch the shared bpred.Unit.
-type PredGeom struct {
-	HistoryBits int
-	DirEntries  int
-	BTBEntries  int
-	RASDepth    int
-}
-
-// PredGeomOf snapshots unit's geometry.
-func PredGeomOf(u *bpred.Unit) PredGeom {
-	return PredGeom{
-		HistoryBits: u.Dir.HistoryBits(),
-		DirEntries:  u.Dir.Entries(),
-		BTBEntries:  u.BTB.Entries(),
-		RASDepth:    u.RAS.Depth(),
-	}
-}
-
-// GHRFixup patches one ghrAt entry for the stale history prefix (see
-// PredReconPlan).
-type GHRFixup struct {
-	Index int  // suffix index whose pre-record GHR needs the stale prefix
-	Shift uint // conditional branches seen before that record (< HistoryBits)
-}
-
-// PredReconPlan is the shard-side product of BeginRegion's eager steps. All
-// of them are pure functions of the region log except for the one stale
-// input: the GHR value left in the shared predictor at region start. The GHR
-// after k conditional shifts from stale value g is ((g<<k) | pure_k) & mask,
-// where pure_k is the same iteration started from zero — masking commutes
-// with the shift-and-or recurrence — so the planner records the pure values
-// plus the (at most HistoryBits) fixups whose stale contribution has not yet
-// shifted out, and the consumer ORs the real stale prefix in at adopt time.
-// The per-entry reset arrays are pre-allocated and pre-filled by the
-// producer, so installing a plan swaps slices instead of clearing
-// O(dir+btb entries) state on the critical path.
-type PredReconPlan struct {
-	Logged uint64               // full region log length
-	Suffix []trace.BranchRecord // percent-selected suffix, oldest first
-
-	GHRAt      []uint64 // pre-record GHRs computed with stale prefix = 0
-	Fixups     []GHRFixup
-	FinalGHR   uint64 // region-final GHR with stale prefix = 0
-	FinalShift uint   // min(total conditionals, HistoryBits)
-
-	RASFills []uint64 // reconstructed RAS contents, youngest first
-
-	DirMap  []StateMap // identity-filled, one per direction-table entry
-	DirDone []bool
-	BTBDone []bool
-}
-
-// PlanPredRecon runs BeginRegion's forward pass and RAS reconstruction over
-// the log without a predictor, materializing the plan. Safe for producer
-// goroutines: it reads only the log and the geometry snapshot.
-func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int) *PredReconPlan {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
-	n := len(fullLog)
-	start := n - n*percent/100
-	plan := &PredReconPlan{Logged: uint64(n), Suffix: fullLog[start:]}
-	plan.GHRAt = make([]uint64, n-start)
-
-	mask := uint64(1)<<uint(geom.HistoryBits) - 1
-	ghr := uint64(0) // pure evolution: stale prefix contributes via fixups
-	conds := 0
-	for i := 0; i < n; i++ {
-		r := &fullLog[i]
-		if r.Class != isa.ClassBranch {
-			continue // GHRAt stays 0, matching BeginRegion
-		}
-		if i >= start {
-			plan.GHRAt[i-start] = ghr
-			if conds < geom.HistoryBits {
-				plan.Fixups = append(plan.Fixups, GHRFixup{Index: i - start, Shift: uint(conds)})
-			}
-		}
-		ghr = (ghr << 1) & mask
-		if r.Taken {
-			ghr |= 1
-		}
-		conds++
-	}
-	shift := conds
-	if shift > geom.HistoryBits {
-		shift = geom.HistoryBits
-	}
-	plan.FinalGHR, plan.FinalShift = ghr, uint(shift)
-
-	plan.RASFills = planRASFills(plan.Suffix, geom.RASDepth)
-
-	plan.DirMap = make([]StateMap, geom.DirEntries)
-	for i := range plan.DirMap {
-		plan.DirMap[i] = IdentityMap
-	}
-	plan.DirDone = make([]bool, geom.DirEntries)
-	plan.BTBDone = make([]bool, geom.BTBEntries)
-	return plan
-}
-
-// BeginRegionPlan is BeginRegion with the eager work already materialized by
-// a shard-side PlanPredRecon over the same log and geometry: it patches the
-// stale GHR prefix into the planned histories, installs the final GHR and
-// reconstructed RAS, and adopts the pre-built reset arrays. The predictor is
-// left in exactly the state BeginRegion would produce.
-func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
-	stale := p.unit.Dir.GHR()
-	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
-	for _, f := range plan.Fixups {
-		plan.GHRAt[f.Index] = (plan.GHRAt[f.Index] | stale<<f.Shift) & mask
-	}
-	p.log = plan.Suffix
-	p.ghrAt = plan.GHRAt
-	p.pos = len(p.log) - 1
-	p.finished = len(p.log) == 0
-
-	p.dirMap = plan.DirMap
-	p.dirDone = plan.DirDone
-	p.btbDone = plan.BTBDone
-	p.touched = p.touched[:0]
-	p.stats = PredReconStats{LoggedBranches: plan.Logged}
-
-	p.unit.Dir.SetGHR((plan.FinalGHR | stale<<plan.FinalShift) & mask)
-	p.installRAS(plan.RASFills)
 }
 
 // scanStep consumes one log record (reverse order), applying BTB and

@@ -54,146 +54,3 @@ func ReconstructCaches(h *mem.Hierarchy, log []trace.MemRecord, percent int) Cac
 	}
 	return st
 }
-
-// CacheReconRef is one plan entry: a logged reference that will mutate cache
-// state, with per-level flags saying which caches it must be offered to.
-type CacheReconRef struct {
-	Addr    uint64
-	IsStore bool
-	IsInstr bool
-	L1      bool // offer to the L1 of its stream (L1I for fetches, L1D for data)
-	L2      bool
-}
-
-// CacheReconPlan is the shard-side product of the §3.1 reverse pass: exactly
-// the scanned references that mutate state, in scan (newest-to-oldest) order,
-// each flagged with the cache levels it applies to. Applying the plan to the
-// shared hierarchy reproduces ReconstructCaches byte for byte while the
-// consumer touches only O(applied) ≤ O(total cache ways) references instead
-// of rescanning the whole log.
-type CacheReconPlan struct {
-	Refs        []CacheReconRef
-	LoggedRefs  uint64
-	ScannedRefs uint64
-}
-
-// cacheGeom mirrors mem.Cache's index math so a planner can predict the
-// apply/skip decision from the log alone.
-type cacheGeom struct {
-	lineShift uint
-	setMask   uint64
-	assoc     int32
-}
-
-func geomOf(cfg mem.CacheConfig) cacheGeom {
-	sets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
-	return cacheGeom{lineShift: shift, setMask: uint64(sets - 1), assoc: int32(cfg.Assoc)}
-}
-
-// cachePlanner replays one cache's ReconstructRef decision procedure against
-// log-derived state only. The decision never reads the cache's stale
-// contents: a reference applies exactly when its set still has stale ways
-// left AND its block has not already been applied this pass — "present and
-// reconstructed" in the real cache implies an earlier applied reference to
-// the same block, and both the present-stale and absent cases mutate state
-// and consume one way. TestPlanCacheReconMatchesDirect pins the equivalence.
-type cachePlanner struct {
-	geom cacheGeom
-	left []int32
-	seen map[uint64]struct{} // applied blocks; bounded by total ways
-}
-
-func newCachePlanner(cfg mem.CacheConfig) *cachePlanner {
-	sets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	g := geomOf(cfg)
-	p := &cachePlanner{geom: g, left: make([]int32, sets), seen: make(map[uint64]struct{})}
-	for i := range p.left {
-		p.left[i] = g.assoc
-	}
-	return p
-}
-
-// offer reports whether the reference would mutate this cache's state.
-func (p *cachePlanner) offer(addr uint64) bool {
-	block := addr >> p.geom.lineShift
-	set := block & p.geom.setMask
-	if p.left[set] == 0 {
-		return false // set fully reconstructed
-	}
-	if _, ok := p.seen[block]; ok {
-		return false // redundant: effect already processed
-	}
-	p.seen[block] = struct{}{}
-	p.left[set]--
-	return true
-}
-
-// PlanCacheRecon runs the reverse pass of ReconstructCaches over the log
-// without a hierarchy, materializing the warm-apply plan. It is safe to call
-// from producer goroutines: it reads only the log and the (immutable)
-// hierarchy configuration.
-func PlanCacheRecon(cfg mem.HierarchyConfig, log []trace.MemRecord, percent int) *CacheReconPlan {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
-	l1i := newCachePlanner(cfg.L1I)
-	l1d := newCachePlanner(cfg.L1D)
-	l2 := newCachePlanner(cfg.L2)
-
-	n := len(log)
-	start := n - n*percent/100
-	plan := &CacheReconPlan{LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
-	for i := n - 1; i >= start; i-- {
-		r := &log[i]
-		var applyL1 bool
-		if r.IsInstr {
-			applyL1 = l1i.offer(r.Addr)
-		} else {
-			applyL1 = l1d.offer(r.Addr)
-		}
-		applyL2 := l2.offer(r.Addr)
-		if applyL1 || applyL2 {
-			plan.Refs = append(plan.Refs, CacheReconRef{
-				Addr: r.Addr, IsStore: r.IsStore, IsInstr: r.IsInstr,
-				L1: applyL1, L2: applyL2,
-			})
-		}
-	}
-	return plan
-}
-
-// ApplyCacheRecon applies a materialized plan to the shared hierarchy: the
-// consumer-side half of the split reverse pass. The ReconstructRef calls it
-// makes are exactly the subset of ReconstructCaches' calls that mutate state,
-// in the same order, so the resulting cache contents, event counters, and
-// returned stats are byte-identical to the direct pass.
-func ApplyCacheRecon(h *mem.Hierarchy, plan *CacheReconPlan) CacheReconStats {
-	h.L1I.BeginReconstruction()
-	h.L1D.BeginReconstruction()
-	h.L2.BeginReconstruction()
-
-	st := CacheReconStats{LoggedRefs: plan.LoggedRefs, ScannedRefs: plan.ScannedRefs}
-	for i := range plan.Refs {
-		r := &plan.Refs[i]
-		if r.L1 {
-			if r.IsInstr {
-				if h.L1I.ReconstructRef(r.Addr, false) {
-					st.Applied++
-				}
-			} else if h.L1D.ReconstructRef(r.Addr, r.IsStore) {
-				st.Applied++
-			}
-		}
-		if r.L2 && h.L2.ReconstructRef(r.Addr, !r.IsInstr && r.IsStore) {
-			st.Applied++
-		}
-	}
-	return st
-}

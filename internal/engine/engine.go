@@ -11,7 +11,6 @@ import (
 
 	"rsr/internal/fault"
 	"rsr/internal/obs"
-	"rsr/internal/sampling"
 )
 
 // boolArg renders a boolean as a span annotation value.
@@ -48,12 +47,6 @@ type Options struct {
 	// instrumented sites — cache reads/writes and job runs — for chaos
 	// testing (nil = no injection).
 	Fault fault.Injector
-	// Checkpoints, when non-nil, shares sharded sampled runs' pre-pass
-	// checkpoint chains across jobs (and, via a cluster-backed store,
-	// across nodes): runs differing only in warm-up method reuse one
-	// chain. Execution policy only — results stay byte-identical and the
-	// store never enters job identity.
-	Checkpoints sampling.CheckpointStore
 	// Metrics, when non-nil, exposes the engine through the registry: the
 	// Stats counters re-expressed as metric families (mirrored at scrape
 	// time, so Stats stays the source of truth), a job latency histogram,
@@ -355,9 +348,6 @@ func (e *Engine) execute(t *task) {
 func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duration, error) {
 	e.stats.running.Add(1)
 	defer e.stats.running.Add(-1)
-	slots := t.job.ShardSlots()
-	e.stats.shardsInUse.Add(slots)
-	defer e.stats.shardsInUse.Add(-slots)
 	e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateRunning, Attempt: attempt, RequestID: t.reqID})
 
 	ctx := t.ctx
@@ -372,7 +362,7 @@ func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duratio
 	}
 
 	begin := time.Now()
-	res, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs.samplingInstr(), e.obs.tracer(t.sweep), e.opts.Checkpoints)
+	res, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs.samplingInstr(), e.obs.tracer(t.sweep))
 	wall := time.Since(begin)
 	e.obs.span(t.sweep, "job-run", tid, begin, obs.SpanArg{Key: "attempt", Val: int64(attempt)},
 		obs.SpanArg{Key: "ok", Val: boolArg(err == nil)})

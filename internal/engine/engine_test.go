@@ -373,41 +373,25 @@ func TestJobHashIdentity(t *testing.T) {
 	}
 }
 
-// TestStatsShardsInUse pins the engine's shard-slot gauge: while a sharded
-// sampled job executes, Stats.ShardsInUse reports its shard count, and the
-// gauge returns to zero once the attempt finishes. An injected latency
-// fault at the run site holds the job open long enough to observe.
-func TestStatsShardsInUse(t *testing.T) {
-	if got := (Job{Kind: JobFull}).ShardSlots(); got != 1 {
-		t.Fatalf("full job ShardSlots = %d, want 1", got)
-	}
-	if got := (Job{Kind: JobSampled, Shards: 1}).ShardSlots(); got != 1 {
-		t.Fatalf("sequential sampled ShardSlots = %d, want 1", got)
-	}
-
-	plan := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindLatency,
-		Prob: 1, Count: 1, Latency: 300 * time.Millisecond})
-	e := New(Options{Workers: 1, Fault: plan})
-	defer e.Close()
-
-	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true})
-	j.Shards = 4
-	tk, err := e.Submit(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().ShardsInUse != 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ShardsInUse never reached 4 (now %d)", e.Stats().ShardsInUse)
+// TestJobHashGolden pins the content address of one sampled and one full
+// job to values computed before the job gained or lost any non-identity
+// field, so on-disk caches and fabric results keep their keys.
+func TestJobHashGolden(t *testing.T) {
+	sampled := Job{Kind: JobSampled, Workload: "gcc", Machine: sampling.DefaultMachine(), Total: 2_000_000,
+		Regimen: sampling.Regimen{ClusterSize: 10000, NumClusters: 30}, Seed: 2007,
+		Warmup: warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}}
+	full := Job{Kind: JobFull, Workload: "mcf", Machine: sampling.DefaultMachine(), Total: 2_000_000}
+	for _, c := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"sampled", sampled, "4c217946dc40977fbe22a96b2799ae18b76c7bc7ba3c74dc5c7c5e51baf73422"},
+		{"full", full, "feee214de22c84ac7e78d8e5544cf6c8e0440bf61a0b686993f66e98a1f83128"},
+	} {
+		if got := c.job.Hash(); got != c.want {
+			t.Errorf("%s job hash = %s, want %s", c.name, got, c.want)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().ShardsInUse; got != 0 {
-		t.Fatalf("ShardsInUse after completion = %d, want 0", got)
 	}
 }
 

@@ -59,12 +59,6 @@ type Job struct {
 	// first (0 = the engine default). Like Timeout it is scheduling policy,
 	// not identity.
 	MaxAttempts int `json:"MaxAttempts,omitempty"`
-	// Shards runs a sampled job through the parallel cluster pipeline with
-	// this many shard goroutines (0 or 1 = sequential). The sharded run is
-	// byte-identical to the sequential one (sampling.Options.Shards),
-	// so like Timeout it is scheduling policy, not identity: jobs differing
-	// only in Shards share one cache entry.
-	Shards int `json:"Shards,omitempty"`
 }
 
 // jobIdentity is the canonical hashed form of a Job. HashVersion must be
@@ -103,52 +97,6 @@ func (j Job) Hash() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// checkpointIdentity is the canonical hashed form of a sampled job's
-// pre-pass checkpoint chain: exactly the fields the chain is a pure
-// function of. Machine and warm-up method are deliberately absent — the
-// pre-pass is pure functional simulation, so jobs differing only in those
-// share one chain. Shards enters because deltas are captured at shard
-// boundaries.
-type checkpointIdentity struct {
-	Version  int
-	Workload string
-	Total    uint64
-	Regimen  sampling.Regimen
-	Seed     int64
-	Shards   int
-}
-
-const checkpointVersion = 1
-
-// CheckpointKey returns the identity key of the job's pre-pass checkpoint
-// chain, used to share chains across jobs and nodes through a
-// sampling.CheckpointStore. Only meaningful for sharded sampled jobs.
-func (j Job) CheckpointKey() string {
-	b, err := json.Marshal(checkpointIdentity{
-		Version:  checkpointVersion,
-		Workload: j.Workload,
-		Total:    j.Total,
-		Regimen:  j.Regimen,
-		Seed:     j.Seed,
-		Shards:   j.Shards,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("engine: checkpoint key: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return "ckpt-" + hex.EncodeToString(sum[:])
-}
-
-// ShardSlots reports how many shard goroutines an execution of this job
-// occupies: its shard count for a parallel sampled job, 1 for sequential
-// and full runs. It is the unit of the engine's ShardsInUse gauge.
-func (j Job) ShardSlots() int64 {
-	if j.Kind == JobSampled && j.Shards > 1 {
-		return int64(j.Shards)
-	}
-	return 1
 }
 
 // Label renders a short human-readable description of the job.

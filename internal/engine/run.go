@@ -16,7 +16,7 @@ import (
 // converted to a typed *PanicError carrying the recovery-time stack, so one
 // bad job can never take down the process or its sibling workers. instr and
 // tr (both usually nil) stream the run's per-phase metrics and spans.
-func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer, ckpt sampling.CheckpointStore) (res *Result, err error) {
+func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: string(debug.Stack())}
@@ -38,7 +38,7 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.
 			return nil, fmt.Errorf("engine: %s: %w", j.Label(), d.Err)
 		}
 	}
-	return runJob(j, cancel, instr, tr, ckpt)
+	return runJob(j, cancel, instr, tr)
 }
 
 // runJob executes one validated job. cancel aborts the simulation
@@ -46,17 +46,13 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.
 // instructions for full runs); an uncanceled run is bit-identical to the
 // direct sampling-package call — observability happens at phase boundaries
 // only, so attaching instr/tr cannot perturb results.
-func runJob(j Job, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer, ckpt sampling.CheckpointStore) (*Result, error) {
+func runJob(j Job, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer) (*Result, error) {
 	w, err := workload.ByName(j.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	p := w.Build()
-	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
-	if ckpt != nil && j.Kind == JobSampled && j.Shards > 1 {
-		opts.Checkpoints = ckpt
-		opts.CheckpointKey = j.CheckpointKey()
-	}
+	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr}
 	switch j.Kind {
 	case JobFull:
 		fr, err := sampling.RunFullOpts(p, j.Machine, j.Total, opts)

@@ -12,10 +12,6 @@ type Stats struct {
 	// Running is the number currently executing.
 	Queued  int64
 	Running int64
-	// ShardsInUse sums Job.ShardSlots over currently executing jobs: how
-	// many shard goroutines the running work occupies. Peers report it in
-	// heartbeats so the coordinator can export per-node shard utilization.
-	ShardsInUse int64
 	// Done and Failed count finished executions (cache hits excluded).
 	Done   int64
 	Failed int64
@@ -50,7 +46,6 @@ type Stats struct {
 // counters is the engine's live atomic form of Stats.
 type counters struct {
 	queued, running, done, failed  atomic.Int64
-	shardsInUse                    atomic.Int64
 	cacheHits, diskHits, cacheMiss atomic.Int64
 	coalesced                      atomic.Int64
 	retries, panics                atomic.Int64
@@ -61,7 +56,6 @@ func (c *counters) snapshot(diskErrs, quarantined, eventsDropped int64) Stats {
 	return Stats{
 		Queued:        c.queued.Load(),
 		Running:       c.running.Load(),
-		ShardsInUse:   c.shardsInUse.Load(),
 		Done:          c.done.Load(),
 		Failed:        c.failed.Load(),
 		CacheHits:     c.cacheHits.Load(),

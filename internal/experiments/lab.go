@@ -39,10 +39,6 @@ type Config struct {
 	// Retries adds execution attempts for transiently failed jobs (worker
 	// panics, injected faults): a job runs at most 1+Retries times.
 	Retries int
-	// Shards splits each sampled run's cluster pipeline across this many
-	// goroutines (0 or 1 = sequential). Results are byte-identical at any
-	// shard count, so Shards is execution policy, not part of job identity.
-	Shards int
 	// Metrics, when non-nil, exposes the lab's engine and every run through
 	// the registry (rsr's -metrics-out). Tracer, when non-nil, records
 	// engine and per-cluster phase spans (rsr's -trace-out). Both default
@@ -228,7 +224,6 @@ func (l *Lab) sampledJob(name string, spec warmup.Spec) engine.Job {
 		Regimen:  RegimenFor(name),
 		Seed:     l.cfg.Seed,
 		Warmup:   spec,
-		Shards:   l.cfg.Shards,
 	}
 }
 

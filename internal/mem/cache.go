@@ -65,8 +65,7 @@ type line struct {
 	// touched this block. The block counts as reconstructed exactly when
 	// reconAt equals the cache's current epoch, which lets
 	// BeginReconstruction invalidate every mark in O(1) by bumping the epoch
-	// instead of clearing a bit per line — the consumer-side reset cost in
-	// the parallel pipeline. Zero is never a live epoch.
+	// instead of clearing a bit per line. Zero is never a live epoch.
 	reconAt uint64
 }
 

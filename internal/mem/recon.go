@@ -19,9 +19,7 @@ type ReconStats struct {
 // stamp range above all existing (stale) stamps so that every block
 // reconstructed in this pass ranks as more recently used than every stale
 // block, while stale blocks keep their prior relative order. Invalidation is
-// an epoch bump — no per-line work — so the pass-start cost is O(sets), which
-// is what keeps the parallel consumer's per-region reset off the serial
-// critical path.
+// an epoch bump — no per-line work — so the pass-start cost is O(sets).
 func (c *Cache) BeginReconstruction() {
 	c.reconEpoch++
 	for s := range c.reconLeft {

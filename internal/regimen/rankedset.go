@@ -158,7 +158,7 @@ func (s RankedSet) Run(p Params) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := measure(p, plan.Regions, 1)
+	res, err := measure(p, plan.Regions)
 	if err != nil {
 		return nil, err
 	}

@@ -66,13 +66,7 @@ type Params struct {
 	// closed; strategies poll it at batch granularity like the sampling
 	// package does.
 	Cancel <-chan struct{}
-	// Shards forwards intra-run cluster parallelism to sampling.Options. Only
-	// stratified-uniform forwards it; ranked-set, repeated-subsampling,
-	// two-phase-stratified and simpoint measure sequentially. The shard
-	// pipeline materializes every region's detailed record stream and keeps
-	// per-shard buffers, so one gcc R$BP run at 2M instructions allocated
-	// about 20x the heap sharded (96.8 MB against 4.7 MB); the other
-	// strategies stay sequential until sharding them pays for that.
+	// Deprecated: ignored; every sampled run is sequential.
 	Shards int
 	// Instr, when non-nil, records per-strategy selection and allocation
 	// metrics. Nil disables recording; results are identical either way.

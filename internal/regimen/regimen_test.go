@@ -125,32 +125,25 @@ func TestRepeatedSubsamplingPlacementMatchesBaseline(t *testing.T) {
 		}
 	}
 
-	// Same positions → the same measurements. Repeated subsampling measures
-	// sequentially through the kernel whatever Params.Shards says, while
-	// stratified-uniform forwards Shards to the parallel pipeline, so this
-	// also pins that the two kernel paths agree.
-	for _, shards := range []int{1, 2} {
-		p.Shards = shards
-		rs, err := RepeatedSubsampling{}.Run(p)
-		if err != nil {
-			t.Fatal(err)
+	// Same positions → the same measurements.
+	rs, err := RepeatedSubsampling{}.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := StratifiedUniform{}.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Regions) != len(su.Regions) {
+		t.Fatalf("regions = %d, baseline = %d", len(rs.Regions), len(su.Regions))
+	}
+	for i := range rs.Regions {
+		if rs.Regions[i].Result != su.Regions[i].Result {
+			t.Fatalf("region %d result diverged:\n%+v\n%+v", i, rs.Regions[i].Result, su.Regions[i].Result)
 		}
-		su, err := StratifiedUniform{}.Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs.Regions) != len(su.Regions) {
-			t.Fatalf("shards=%d: regions = %d, baseline = %d", shards, len(rs.Regions), len(su.Regions))
-		}
-		for i := range rs.Regions {
-			if rs.Regions[i].Result != su.Regions[i].Result {
-				t.Fatalf("shards=%d: region %d result diverged:\n%+v\n%+v",
-					shards, i, rs.Regions[i].Result, su.Regions[i].Result)
-			}
-		}
-		if rs.Work != su.Work {
-			t.Fatalf("shards=%d: work = %+v, baseline %+v", shards, rs.Work, su.Work)
-		}
+	}
+	if rs.Work != su.Work {
+		t.Fatalf("work = %+v, baseline %+v", rs.Work, su.Work)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 // measure runs one pass over the program through the sampling kernel: the
 // configured warm-up method observes the cold skips and each region is
 // simulated in detail. Regions must satisfy ValidateRegions and share the
-// regimen's cluster size. shards is forwarded to sampling.Options (see
-// Params.Shards for which strategies pass it).
-func measure(p Params, regions []Region, shards int) (*sampling.RunResult, error) {
+// regimen's cluster size.
+func measure(p Params, regions []Region) (*sampling.RunResult, error) {
 	if err := ValidateRegions(regions, p.Total); err != nil {
 		return nil, err
 	}
@@ -24,7 +23,7 @@ func measure(p Params, regions []Region, shards int) (*sampling.RunResult, error
 		starts[i] = r.Start
 	}
 	return sampling.Measure(p.Program, p.Machine, starts, p.Regimen.ClusterSize, p.Warmup.New,
-		sampling.Options{Cancel: p.Cancel, Shards: shards})
+		sampling.Options{Cancel: p.Cancel})
 }
 
 // measured zips a pass's cluster results back onto their regions.

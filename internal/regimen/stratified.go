@@ -12,8 +12,7 @@ import (
 // between clusters, and the mean-cluster-CPI estimator with its CI95. Its
 // plan is sampling.Positions and it measures through sampling.Measure, so
 // every result — cluster positions, per-cluster cycle counts, work counters
-// — is byte-identical to sampling.RunSampledOpts. It is the one strategy
-// that forwards Params.Shards to the parallel pipeline.
+// — is byte-identical to sampling.RunSampledOpts.
 type StratifiedUniform struct{}
 
 // Name implements Strategy.
@@ -45,7 +44,7 @@ func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := measure(p, plan.Regions, p.Shards)
+	res, err := measure(p, plan.Regions)
 	if err != nil {
 		return nil, err
 	}

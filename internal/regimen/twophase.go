@@ -183,7 +183,7 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 	k := len(st.members)
 	used := map[int]bool{}
 	pilot := s.pilotPlan(p, st, used)
-	pilotRes, err := measure(p, pilot, 1)
+	pilotRes, err := measure(p, pilot)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 	work := pilotRes.Work
 	funcInstr, hotInstr := pilotRes.FuncInstructions, pilotRes.HotInstructions
 	if len(refine) > 0 {
-		refineRes, err := measure(p, refine, 1)
+		refineRes, err := measure(p, refine)
 		if err != nil {
 			return nil, err
 		}

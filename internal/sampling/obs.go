@@ -19,25 +19,6 @@ const (
 	PhaseWarmApply   = "warm-apply"
 	PhaseHotSim      = "hot-sim"
 	PhaseFullSim     = "full-sim"
-	// PhaseCheckpoint is the parallel pre-pass capturing an architectural
-	// checkpoint (registers + dirty-page delta) at a shard boundary.
-	PhaseCheckpoint = "checkpoint-capture"
-	// PhaseConsumerWait is the parallel consumer blocked on its next region
-	// product — the pipeline-starvation signal.
-	PhaseConsumerWait = "consumer-wait"
-)
-
-// Pipeline stage labels for rsr_sampling_pipeline_nanos_total: where a
-// parallel run's wall-clock goes, split between shard-side (producer) work
-// and the strictly serial consumer. consumer-adopt + consumer-sim is the
-// Amdahl serial fraction; consumer-wait is starvation (producers too slow or
-// too few).
-const (
-	StageProducerCold = "producer-cold" // cold skip + capture on shards
-	StageProducerSeal = "producer-seal" // reverse-scan planning on shards
-	StageConsumerWait = "consumer-wait" // consumer blocked on the next region
-	StageConsumerWarm = "consumer-adopt"
-	StageConsumerSim  = "consumer-sim"
 )
 
 // Instruments is the sampling layer's bundle of registry instruments.
@@ -58,11 +39,6 @@ type Instruments struct {
 
 	cacheEvents *obs.CounterVec // cache hierarchy event counts by level/event
 	predUpdates *obs.CounterVec // predictor state mutations by structure
-
-	// Parallel-pipeline instrumentation: per-region consumer starvation and
-	// the producer-vs-consumer wall-clock split (the measured Amdahl story).
-	consumerWait *obs.Histogram
-	pipeline     *obs.CounterVec
 }
 
 // NewInstruments registers (idempotently) the sampling metric families on r
@@ -95,12 +71,6 @@ func NewInstruments(r *obs.Registry) *Instruments {
 			"Cache hierarchy events accumulated over finished runs.", "level", "event"),
 		predUpdates: r.CounterVec("rsr_bpred_updates_total",
 			"Branch predictor state mutations accumulated over finished runs.", "structure"),
-		consumerWait: r.Histogram("rsr_sampling_consumer_wait_seconds",
-			"Time the parallel consumer spent blocked waiting for a region product, per region (idle = starved by producers).",
-			obs.DurationBuckets),
-		pipeline: r.CounterVec("rsr_sampling_pipeline_nanos_total",
-			"Parallel-run wall-clock by pipeline stage: producer-* is shard-side (overlapped) work, consumer-* is the serial fraction plus starvation.",
-			"stage"),
 	}
 }
 
@@ -139,13 +109,6 @@ type runObs struct {
 	coldDur, reconDur, warmDur, hotDur *obs.Histogram
 	logged, scanned, applied, warmOps  *obs.Counter
 
-	// Parallel-pipeline accounting. parallel is set once by runParallel via
-	// setParallel; the sequential path leaves it false so the stage counters
-	// stay absent (not zero) when no parallel run ever happened.
-	parallel                                          bool
-	waitDur                                           *obs.Histogram
-	pipeColdP, pipeSeal, pipeWait, pipeAdopt, pipeSim *obs.Counter
-
 	prevWork warmup.Work
 }
 
@@ -174,24 +137,8 @@ func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string) *runObs {
 			ro.applied = in.applied.With(method)
 			ro.warmOps = in.warmOps.With(method)
 		}
-		ro.waitDur = in.consumerWait
-		ro.pipeColdP = in.pipeline.With(StageProducerCold)
-		ro.pipeSeal = in.pipeline.With(StageProducerSeal)
-		ro.pipeWait = in.pipeline.With(StageConsumerWait)
-		ro.pipeAdopt = in.pipeline.With(StageConsumerWarm)
-		ro.pipeSim = in.pipeline.With(StageConsumerSim)
 	}
 	return ro
-}
-
-// setParallel switches the observer into parallel-pipeline mode: the phase
-// hooks additionally fold their durations into the per-stage wall-clock
-// counters that expose the run's serial fraction.
-func (ro *runObs) setParallel() {
-	if ro == nil {
-		return
-	}
-	ro.parallel = true
 }
 
 // begin marks a phase start. The zero time on the disabled path is never
@@ -231,37 +178,6 @@ func (ro *runObs) coldDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wo
 		obs.SpanArg{Key: "warm_ops", Val: int64(d.WarmOps)})
 }
 
-// waitDone records one consumer blocking-wait for its next region product —
-// the pipeline's starvation signal. Called only on the parallel path.
-func (ro *runObs) waitDone(t0 time.Time, cluster int) {
-	if ro == nil {
-		return
-	}
-	dur := time.Since(t0)
-	ro.waitDur.Observe(dur.Seconds())
-	ro.pipeWait.Add(uint64(dur.Nanoseconds()))
-	ro.span(PhaseConsumerWait, t0, dur,
-		obs.SpanArg{Key: "cluster", Val: int64(cluster)})
-}
-
-// coldAdopted records a cold-skip phase that a shard producer already
-// performed and timed: the parallel consumer folds the producer-measured
-// durations (cold skip and plan sealing) and the adopted work into the same
-// metric families as coldDone, plus the pipeline stage split. The phase's
-// trace spans live on the producing shard's own track; adoptT0 is when the
-// consumer's AdoptRegion call started.
-func (ro *runObs) coldAdopted(coldDur, sealDur time.Duration, adoptT0 time.Time, instrs uint64, w warmup.Work) {
-	if ro == nil {
-		return
-	}
-	ro.coldDur.Observe(coldDur.Seconds())
-	ro.coldInstr.Add(instrs)
-	ro.workDelta(w)
-	ro.pipeColdP.Add(uint64(coldDur.Nanoseconds()))
-	ro.pipeSeal.Add(uint64(sealDur.Nanoseconds()))
-	ro.pipeAdopt.Add(uint64(time.Since(adoptT0).Nanoseconds()))
-}
-
 // reconDone records the reconstruction phase (Method.EndSkip) of one
 // cluster: for reverse methods this is the backward scan plus state
 // application; for other methods it is empty and near-zero.
@@ -271,9 +187,6 @@ func (ro *runObs) reconDone(t0 time.Time, cluster int, w warmup.Work) {
 	}
 	dur := time.Since(t0)
 	ro.reconDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeAdopt.Add(uint64(dur.Nanoseconds()))
-	}
 	d := ro.workDelta(w)
 	ro.span(PhaseReverseScan, t0, dur,
 		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
@@ -288,9 +201,6 @@ func (ro *runObs) warmDone(t0 time.Time, cluster int, instrs uint64) {
 	}
 	dur := time.Since(t0)
 	ro.warmDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeSim.Add(uint64(dur.Nanoseconds()))
-	}
 	ro.warmInstr.Add(instrs)
 	ro.span(PhaseWarmApply, t0, dur,
 		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
@@ -306,9 +216,6 @@ func (ro *runObs) hotDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wor
 	}
 	dur := time.Since(t0)
 	ro.hotDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeSim.Add(uint64(dur.Nanoseconds()))
-	}
 	ro.hotInstr.Add(instrs)
 	if ro.in != nil {
 		ro.in.clusters.Inc()

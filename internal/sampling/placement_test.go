@@ -97,8 +97,7 @@ func TestCheckPlacementRejects(t *testing.T) {
 
 // TestMeasureRejectsUnsortedAndOverlappingStarts: the kernel owns no
 // placement, so a start behind the previous cluster's end would wrap the
-// uint64 skip distance; Measure must refuse it before simulating anything,
-// at every shard count.
+// uint64 skip distance; Measure must refuse it before simulating anything.
 func TestMeasureRejectsUnsortedAndOverlappingStarts(t *testing.T) {
 	w, err := workload.ByName("parser")
 	if err != nil {
@@ -115,14 +114,12 @@ func TestMeasureRejectsUnsortedAndOverlappingStarts(t *testing.T) {
 		"duplicate":   {0, 0},
 	}
 	for name, starts := range cases {
-		for _, shards := range []int{1, 2} {
-			res, err := Measure(p, DefaultMachine(), starts, 2000, spec.New, Options{Shards: shards})
-			if err == nil || !strings.Contains(err.Error(), "behind the simulated position") {
-				t.Errorf("%s shards=%d: err = %v, want a behind-the-simulated-position error", name, shards, err)
-			}
-			if res != nil {
-				t.Errorf("%s shards=%d: result escaped a rejected plan", name, shards)
-			}
+		res, err := Measure(p, DefaultMachine(), starts, 2000, spec.New, Options{})
+		if err == nil || !strings.Contains(err.Error(), "behind the simulated position") {
+			t.Errorf("%s: err = %v, want a behind-the-simulated-position error", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: result escaped a rejected plan", name)
 		}
 	}
 	// Back-to-back clusters (each starting exactly where the last ends) are

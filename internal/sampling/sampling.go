@@ -186,26 +186,8 @@ type Options struct {
 	// additionally at cluster boundaries), so results of uncanceled runs are
 	// unaffected.
 	Cancel <-chan struct{}
-	// Shards, when > 1, runs the sampled simulation through the parallel
-	// cluster pipeline: cold functional execution, skip observation into
-	// private region captures, and producer-side reconstruction planning
-	// fan out over shard goroutines seeded from architectural checkpoints,
-	// while shared microarchitectural state advances sequentially in
-	// cluster order, so results stay byte-identical to the sequential run.
-	// Every warm-up method shards — functional warming captures its
-	// would-be applications and replays them at adoption. 0 or 1 selects
-	// the sequential path. Shards is an execution policy, not part of a
-	// run's identity.
+	// Deprecated: ignored; every sampled run is sequential.
 	Shards int
-	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
-	// the parallel pipeline load its pre-pass checkpoint chain from a
-	// shared store (skipping the pre-pass functional run) and persist a
-	// freshly captured chain for other runs — or other nodes — with the
-	// same key. Chains are pure functions of their key, so reuse preserves
-	// byte-identical results; both fields are execution policy, never part
-	// of a run's identity.
-	Checkpoints   CheckpointStore
-	CheckpointKey string
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
 	// warm-up work deltas, and machine event counters into its registry.
 	// Tracer, when non-nil, records one span per cluster phase (cold-skip,
@@ -246,9 +228,7 @@ func RunSampledMethod(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 // warm-up method mk builds, reconstructs at EndSkip, optionally warms the
 // timing model for opts.DetailedWarmup instructions, and measures size
 // instructions in detail. Starts must be sorted and non-overlapping (each at
-// least size past the previous one); placement is the caller's job. With
-// opts.Shards > 1 the clusters run through the parallel pipeline, with
-// byte-identical results.
+// least size past the previous one); placement is the caller's job.
 func Measure(p *prog.Program, m MachineConfig, starts []uint64, size uint64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
 	for i := 1; i < len(starts); i++ {
 		if end := starts[i-1] + size; starts[i] < end {
@@ -260,14 +240,6 @@ func Measure(p *prog.Program, m MachineConfig, starts []uint64, size uint64, mk 
 	unit := bpred.NewUnit(m.Pred)
 	method := mk(hier, unit)
 	sim := ooo.New(m.CPU, hier, method.Predictor())
-
-	if shards := shardCount(opts.Shards, len(starts)); shards > 1 {
-		// Every method supports region captures (part of the Method
-		// contract), so a sharded request never falls back to the
-		// sequential path.
-		return runParallel(p, starts, size, hier, unit, method, sim, shards, opts)
-	}
-
 	fs := funcsim.New(p)
 
 	res := &RunResult{Method: method.Name()}
@@ -281,7 +253,10 @@ func Measure(p *prog.Program, m MachineConfig, starts []uint64, size uint64, mk 
 		if opts.canceled() {
 			return nil, ErrCanceled
 		}
-		dw, cold := splitSkip(start-pos, opts.DetailedWarmup)
+		// The tail of the skip, at most opts.DetailedWarmup instructions,
+		// warms the timing model unmeasured; the rest is the cold phase.
+		dw := min(start-pos, opts.DetailedWarmup)
+		cold := start - pos - dw
 
 		t0 := ro.begin()
 		method.BeginSkip(cold)
@@ -324,15 +299,6 @@ func Measure(p *prog.Program, m MachineConfig, starts []uint64, size uint64, mk 
 	res.Work = method.Work()
 	ro.runDone("sampled", hier, unit)
 	return res, nil
-}
-
-// splitSkip divides the skip before a cluster into its unmeasured detailed
-// warm-up (at most dw, the tail of the skip) and the cold phase before it.
-func splitSkip(skip, dw uint64) (warm, cold uint64) {
-	if dw > skip {
-		dw = skip
-	}
-	return dw, skip - dw
 }
 
 // coldSkip runs one cold phase: n instructions executed in batches, each

@@ -2,10 +2,15 @@ package sampling
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"rsr/internal/asm"
+	"rsr/internal/funcsim"
+	"rsr/internal/isa"
+	"rsr/internal/prog"
 	"rsr/internal/stats"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
@@ -346,5 +351,72 @@ func TestRunSampledCancel(t *testing.T) {
 	got.Elapsed, want.Elapsed = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cancelable run with open channel diverged from plain run")
+	}
+}
+
+// faultingLoop returns a program that stores in a loop of n iterations and
+// then executes an invalid opcode, with the PC and dynamic instruction index
+// at which it faults.
+func faultingLoop(t *testing.T, n int) (*prog.Program, uint64, uint64) {
+	t.Helper()
+	p, err := asm.Parse("faulting-loop", fmt.Sprintf(`
+		.word 0x10000000 0
+		li   r4, 0x10000000
+		li   r1, %d
+	loop:
+		st   r1, 0(r4)
+		addi r1, r1, -1
+		bne  r1, r0, loop
+		halt
+	`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(p.Insts) - 1
+	if p.Insts[last].Op != isa.OpHalt {
+		t.Fatalf("last instruction is %v, want halt", p.Insts[last].Op)
+	}
+	p.Insts[last] = isa.Inst{Op: isa.Op(250)}
+	fs := funcsim.New(p)
+	if _, err := fs.Skip(1 << 30); err == nil {
+		t.Fatal("planted fault never fired")
+	}
+	return p, fs.PC(), fs.Seq()
+}
+
+// TestFaultNamesPhase: a workload that faults mid-run must fail the sampled
+// run with an error naming the phase the fault landed in and the faulting
+// PC, and leak no partial result, for a fault in a cold skip and one in a
+// measured cluster alike.
+func TestFaultNamesPhase(t *testing.T) {
+	starts := []uint64{1000, 5000, 9000}
+	const size = 2000
+	for _, c := range []struct {
+		phase string
+		iters int
+		lo    uint64 // the phase's extent in dynamic instructions
+		hi    uint64
+	}{
+		{"cold", 2666, 7000, 9000},
+		{"hot", 1999, 5000, 7000},
+	} {
+		p, pc, at := faultingLoop(t, c.iters)
+		if at < c.lo || at >= c.hi {
+			t.Fatalf("%s fault fires at instruction %d, outside [%d, %d)", c.phase, at, c.lo, c.hi)
+		}
+		for _, label := range []string{"R$BP (20%)", "S$BP"} {
+			spec, err := warmup.SpecByLabel(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Measure(p, DefaultMachine(), starts, size, spec.New, Options{})
+			if res != nil {
+				t.Errorf("%s %s fault: partial result escaped a faulted run", label, c.phase)
+			}
+			want := fmt.Sprintf("sampling: %s phase: funcsim: unknown opcode 250 at pc %#x", c.phase, pc)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s %s fault: err = %v, want %q", label, c.phase, err, want)
+			}
+		}
 	}
 }

@@ -153,50 +153,6 @@ func TestWindowedBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
-// resetCaptureLog returns a capture's log and counters to their post-creation
-// state while retaining slice storage, modelling a steady-state producer.
-func resetCaptureLog(log *trace.SkipLog, lines *lineTracker) {
-	log.Reset()
-	*lines = lineTracker{lineMask: lines.lineMask}
-}
-
-// TestFuncWarmCaptureZeroAllocs pins the sharded producer's hot path for the
-// functional-warming family: once a region capture's log has grown to
-// capacity, batched observation into it allocates nothing.
-func TestFuncWarmCaptureZeroAllocs(t *testing.T) {
-	recs := genRecords(t, 4096)
-	h, u := testEnv()
-	m := Spec{Kind: KindSMARTS, Cache: true, BPred: true}.New(h, u)
-	c := m.NewRegionCapture(0, uint64(len(recs))).(*funcWarmCapture)
-	c.ObserveSkipBatch(recs) // grow the log to steady-state capacity
-	avg := testing.AllocsPerRun(20, func() {
-		resetCaptureLog(&c.log, &c.lines)
-		c.seen, c.logged = 0, 0
-		c.ObserveSkipBatch(recs)
-	})
-	if avg != 0 {
-		t.Fatalf("funcWarm capture logging allocates %.2f per region in steady state", avg)
-	}
-}
-
-// TestReverseCaptureZeroAllocs pins the same property for reverse captures,
-// which share the appendSkipRecords kernel with the method's own logging.
-func TestReverseCaptureZeroAllocs(t *testing.T) {
-	recs := genRecords(t, 4096)
-	h, u := testEnv()
-	m := Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true}.New(h, u)
-	c := m.NewRegionCapture(0, uint64(len(recs))).(*reverseCapture)
-	c.ObserveSkipBatch(recs)
-	avg := testing.AllocsPerRun(20, func() {
-		resetCaptureLog(&c.log, &c.lines)
-		c.logged = 0
-		c.ObserveSkipBatch(recs)
-	})
-	if avg != 0 {
-		t.Fatalf("reverse capture logging allocates %.2f per region in steady state", avg)
-	}
-}
-
 // TestReverseObserveSkipBatchZeroAllocs pins the reverse method's batched
 // logging as allocation-free once the region log has reached steady-state
 // capacity (Reset retains storage between regions).

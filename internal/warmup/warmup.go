@@ -29,15 +29,6 @@ import (
 // the batch (policy checks hoisted out of the loop, line tracking and log
 // appends flattened); TestBatchScalarEquivalence pins them against a
 // per-record reference kept in the tests.
-//
-// Every method also supports region captures (NewRegionCapture/AdoptRegion),
-// the contract the parallel cluster pipeline builds on: a region's skip
-// observation runs on a producer goroutine against a private capture, and
-// the consumer adopts captures in strict cluster order. Methods that log
-// (reverse) capture the log directly; methods that functionally warm shared
-// state (SMARTS, fixed-period, windowed) capture the would-be warming
-// references and AdoptRegion replays them in order, so no method ever falls
-// back to sequential execution under sharding.
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
@@ -45,36 +36,6 @@ type Method interface {
 	EndSkip()
 	Predictor() bpred.Predictor
 	Work() Work
-
-	// NewRegionCapture returns a capture for the region-indexed skip phase
-	// with the given expected length. It must be safe for concurrent use and
-	// may read only immutable method configuration; the returned capture is
-	// confined to one goroutine until it is handed to AdoptRegion.
-	NewRegionCapture(region int, expectedLen uint64) RegionCapture
-	// AdoptRegion installs a fed-and-sealed capture as if the method had
-	// observed the region's stream itself. It must be called between
-	// BeginSkip and EndSkip in place of the method's own ObserveSkipBatch
-	// calls for that region, and leaves the method in exactly the state direct
-	// observation would.
-	AdoptRegion(c RegionCapture)
-}
-
-// RegionCapture accumulates one skip region's observation product away from
-// the method's shared state, so a region can be observed on a goroutine of
-// its own while earlier regions are still being consumed. Feeding a capture
-// the region's batches, sealing it, and adopting it is equivalent to feeding
-// the method directly between BeginSkip and EndSkip.
-//
-// Seal finalizes the capture after its last batch, still on the producer
-// goroutine: work that is a pure function of the captured stream — for the
-// reverse method, the backward scan that materializes the cache and
-// predictor warm-apply plans — runs here, off the consumer's critical path.
-// Seal is optional (an unsealed capture makes AdoptRegion's consumer do that
-// work itself, byte-identically) and must be called at most once, after the
-// final ObserveSkipBatch.
-type RegionCapture interface {
-	ObserveSkipBatch(ds []trace.DynInst)
-	Seal()
 }
 
 // Work counts warm-up effort in state operations, the deterministic analogue
@@ -243,16 +204,6 @@ func (n *none) EndSkip()                         {}
 func (n *none) Predictor() bpred.Predictor       { return n.u }
 func (n *none) Work() Work                       { return Work{} }
 
-// noneCapture is the trivial region capture: None observes nothing, so the
-// capture is stateless and a single value serves every region.
-type noneCapture struct{}
-
-func (noneCapture) ObserveSkipBatch([]trace.DynInst) {}
-func (noneCapture) Seal()                            {}
-
-func (n *none) NewRegionCapture(int, uint64) RegionCapture { return noneCapture{} }
-func (n *none) AdoptRegion(RegionCapture)                  {}
-
 // --- shared functional-warming machinery (SMARTS and fixed-period) ---
 
 type funcWarm struct {
@@ -261,21 +212,16 @@ type funcWarm struct {
 	cache bool
 	bp    bool
 	label string
-	// lineMask is the immutable L1I line mask; NewRegionCapture reads it from
-	// concurrent producer goroutines while the mutable lines tracker advances
-	// on the consumer, so the two must be separate fields.
-	lineMask uint64
-	lines    lineTracker
-	work     Work
+	lines lineTracker
+	work  Work
 }
 
 // newFuncWarm builds the shared functional-warming state with the line
 // tracker initialized up front (as newReverse does), keeping the
 // batch apply path free of construction checks.
 func newFuncWarm(h *mem.Hierarchy, u *bpred.Unit, s Spec) funcWarm {
-	lt := newLineTracker(h.Config().L1I.LineBytes)
 	return funcWarm{h: h, u: u, cache: s.Cache, bp: s.BPred, label: s.Label(),
-		lineMask: lt.lineMask, lines: lt}
+		lines: newLineTracker(h.Config().L1I.LineBytes)}
 }
 
 // applyBatch functionally warms the hierarchy and predictor with a batch of
@@ -332,67 +278,6 @@ func tail(seen *uint64, threshold uint64, ds []trace.DynInst) []trace.DynInst {
 	return nil
 }
 
-// funcWarmCapture is the functional-warming family's region capture: instead
-// of mutating the shared hierarchy and predictor from a producer goroutine,
-// it logs exactly the references the method would have applied — the
-// post-threshold suffix, with instruction fetches collapsed per line by the
-// same appendSkipRecords kernel the reverse method uses — and AdoptRegion
-// replays that log against the shared state in order. One log record
-// corresponds to one functional application, so the capture's record count
-// is the region's WarmOps delta.
-type funcWarmCapture struct {
-	cache     bool
-	bp        bool
-	threshold uint64
-	seen      uint64
-	log       trace.SkipLog
-	lines     lineTracker
-	logged    uint64
-}
-
-func (c *funcWarmCapture) ObserveSkipBatch(ds []trace.DynInst) {
-	if warm := tail(&c.seen, c.threshold, ds); len(warm) > 0 {
-		c.logged += appendSkipRecords(&c.log, &c.lines, c.cache, c.bp, warm)
-	}
-}
-
-// Seal is a no-op: functional warming has no producer-side scan to
-// materialize — the capture's log already is the warm-apply plan.
-func (c *funcWarmCapture) Seal() {}
-
-// newCapture builds a capture applying everything past threshold. Only
-// immutable configuration is read, so captures may be created concurrently.
-func (f *funcWarm) newCapture(threshold uint64) *funcWarmCapture {
-	return &funcWarmCapture{cache: f.cache, bp: f.bp, threshold: threshold,
-		lines: lineTracker{lineMask: f.lineMask}}
-}
-
-// adoptCapture replays a captured region's warming references against the
-// shared machine in captured order. Cache and predictor state are
-// independent structures (the applyBatch argument), so the two-pass replay
-// leaves exactly the state direct per-batch observation would, and the line
-// tracker is restored to the capture's final state just as direct
-// observation would leave it.
-func (f *funcWarm) adoptCapture(c *funcWarmCapture) {
-	if f.cache {
-		for i := range c.log.Mem {
-			r := &c.log.Mem[i]
-			if r.IsInstr {
-				f.h.WarmInst(r.Addr)
-			} else {
-				f.h.WarmData(r.Addr, r.IsStore)
-			}
-		}
-		f.lines.last, f.lines.have = c.lines.last, c.lines.have
-	}
-	if f.bp {
-		for i := range c.log.Branches {
-			f.u.Update(c.log.Branches[i])
-		}
-	}
-	f.work.WarmOps += c.logged
-}
-
 // --- SMARTS: full functional warming of the whole skip region ---
 
 type smarts struct{ funcWarm }
@@ -403,11 +288,6 @@ func (s *smarts) ObserveSkipBatch(ds []trace.DynInst) { s.applyBatch(ds) }
 func (s *smarts) EndSkip()                            {}
 func (s *smarts) Predictor() bpred.Predictor          { return s.u }
 func (s *smarts) Work() Work                          { return s.work }
-
-// NewRegionCapture captures the whole region (threshold 0): SMARTS warms
-// every skipped instruction.
-func (s *smarts) NewRegionCapture(int, uint64) RegionCapture { return s.newCapture(0) }
-func (s *smarts) AdoptRegion(c RegionCapture)                { s.adoptCapture(c.(*funcWarmCapture)) }
 
 // --- Fixed period: functional warming of the trailing percent only ---
 
@@ -435,17 +315,6 @@ func (f *fixedPeriod) ObserveSkipBatch(ds []trace.DynInst) {
 func (f *fixedPeriod) EndSkip()                   {}
 func (f *fixedPeriod) Predictor() bpred.Predictor { return f.u }
 func (f *fixedPeriod) Work() Work                 { return f.work }
-
-// NewRegionCapture derives the region's threshold exactly as BeginSkip does.
-func (f *fixedPeriod) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return f.newCapture(expectedLen - expectedLen*uint64(f.percent)/100)
-}
-
-func (f *fixedPeriod) AdoptRegion(c RegionCapture) {
-	cc := c.(*funcWarmCapture)
-	f.adoptCapture(cc)
-	f.seen = cc.seen
-}
 
 // --- Profiled-window warming (MRRL / BLRL) ---
 
@@ -497,28 +366,6 @@ func (w *windowed) EndSkip()                   {}
 func (w *windowed) Predictor() bpred.Predictor { return w.u }
 func (w *windowed) Work() Work                 { return w.work }
 
-// NewRegionCapture selects the profiled window for the explicit region index
-// (producers run regions out of order, so the method's own region cursor —
-// advanced by the consumer's BeginSkip — cannot be used) and clamps it
-// exactly as BeginSkip does. The windows slice is immutable after
-// construction, so concurrent reads are safe.
-func (w *windowed) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
-	win := uint64(0)
-	if region < len(w.windows) {
-		win = w.windows[region]
-	}
-	if win > expectedLen {
-		win = expectedLen
-	}
-	return w.newCapture(expectedLen - win)
-}
-
-func (w *windowed) AdoptRegion(c RegionCapture) {
-	cc := c.(*funcWarmCapture)
-	w.adoptCapture(cc)
-	w.seen = cc.seen
-}
-
 // --- Reverse State Reconstruction ---
 
 type reverse struct {
@@ -527,33 +374,17 @@ type reverse struct {
 	rp    *core.ReconPredictor
 	spec  Spec
 	label string
-	// lineMask is the immutable L1I line mask; NewRegionCapture reads it
-	// from concurrent producer goroutines while AdoptRegion overwrites the
-	// mutable lines tracker, so the two must be separate fields.
-	lineMask uint64
-	// hcfg and geom are immutable geometry snapshots read by capture Seal on
-	// producer goroutines, so planning never touches the shared machine.
-	hcfg          mem.HierarchyConfig
-	geom          core.PredGeom
-	log           trace.SkipLog
-	lines         lineTracker
-	work          Work
-	lastPredStats core.PredReconStats
-
-	// Plans staged by AdoptRegion for the next EndSkip; nil when the region
-	// was observed directly (sequential path) or the capture was not sealed.
-	cachePlan *core.CacheReconPlan
-	predPlan  *core.PredReconPlan
+	log   trace.SkipLog
+	lines lineTracker
+	work  Work
 }
 
 func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
-	lt := newLineTracker(h.Config().L1I.LineBytes)
 	r := &reverse{h: h, u: u, spec: s, label: s.Label(),
-		lineMask: lt.lineMask, lines: lt, hcfg: h.Config()}
+		lines: newLineTracker(h.Config().L1I.LineBytes)}
 	if s.BPred {
 		r.rp = core.NewReconPredictor(u)
 		r.rp.SetNoInference(s.NoCounterInference)
-		r.geom = core.PredGeomOf(u)
 	}
 	return r
 }
@@ -566,21 +397,17 @@ func (r *reverse) BeginSkip(uint64) {
 	r.collectPredWork()
 	r.log.Reset()
 	r.lines.reset()
-	r.cachePlan, r.predPlan = nil, nil
 }
 
-// appendSkipRecords is the batched logging kernel shared by the reverse
-// method and its region captures: the cache/bpred policy checks are hoisted
-// out of the loop, the line tracker runs on locals, and records append
-// straight onto the log slices (allocation-free once the region log has
-// reached steady-state capacity). It returns how many records it appended.
-// Sharing the kernel is what makes a capture's log byte-identical to direct
-// observation by construction.
-func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, ds []trace.DynInst) uint64 {
+// ObserveSkipBatch logs the batch's cache references and branches. The
+// cache/bpred policy checks are hoisted out of the loop, the line tracker
+// runs on locals, and records append straight onto the log slices
+// (allocation-free once the region log has reached steady-state capacity).
+func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) {
 	var logged uint64
-	if cache {
-		mask, last, have := lines.lineMask, lines.last, lines.have
-		mem := log.Mem
+	if r.spec.Cache {
+		mask, last, have := r.lines.lineMask, r.lines.last, r.lines.have
+		mem := r.log.Mem
 		for i := range ds {
 			d := &ds[i]
 			if line := d.PC & mask; !have || line != last {
@@ -596,11 +423,11 @@ func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, d
 				logged++
 			}
 		}
-		log.Mem = mem
-		lines.last, lines.have = last, have
+		r.log.Mem = mem
+		r.lines.last, r.lines.have = last, have
 	}
-	if bp {
-		branches := log.Branches
+	if r.spec.BPred {
+		branches := r.log.Branches
 		for i := range ds {
 			d := &ds[i]
 			if d.Op.IsControl() {
@@ -608,98 +435,20 @@ func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, d
 				logged++
 			}
 		}
-		log.Branches = branches
+		r.log.Branches = branches
 	}
-	return logged
-}
-
-// ObserveSkipBatch logs the batch's cache references and branches through
-// the shared logging kernel.
-func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) {
-	r.work.LoggedRecords += appendSkipRecords(&r.log, &r.lines, r.spec.Cache, r.spec.BPred, ds)
-}
-
-// reverseCapture is the reverse method's region capture: a private log and
-// line tracker fed by the same kernel as direct observation. BeginSkip
-// discards the previous region's log, so starting from an empty log and a
-// reset tracker reproduces the method's region-start state exactly. Seal
-// runs the backward scans over the private log, materializing the cache and
-// predictor warm-apply plans that shrink the consumer's EndSkip to
-// O(applied) work.
-type reverseCapture struct {
-	cache   bool
-	bp      bool
-	percent int
-	hcfg    mem.HierarchyConfig
-	geom    core.PredGeom
-	log     trace.SkipLog
-	lines   lineTracker
-	logged  uint64
-
-	cachePlan *core.CacheReconPlan
-	predPlan  *core.PredReconPlan
-}
-
-func (c *reverseCapture) ObserveSkipBatch(ds []trace.DynInst) {
-	c.logged += appendSkipRecords(&c.log, &c.lines, c.cache, c.bp, ds)
-}
-
-// Seal moves the reverse scans producer-side: the apply/skip decisions of
-// both reconstruction passes are pure functions of the captured log (plus,
-// for the predictor, a stale GHR prefix the plan carries as fixups), so the
-// plans are exact and EndSkip only replays their mutating subset.
-func (c *reverseCapture) Seal() {
-	if c.cache {
-		c.cachePlan = core.PlanCacheRecon(c.hcfg, c.log.Mem, c.percent)
-	}
-	if c.bp {
-		c.predPlan = core.PlanPredRecon(c.geom, c.log.Branches, c.percent)
-	}
-}
-
-// NewRegionCapture returns a capture for one skip region. Only immutable
-// configuration is read, so captures may be created concurrently.
-func (r *reverse) NewRegionCapture(int, uint64) RegionCapture {
-	return &reverseCapture{cache: r.spec.Cache, bp: r.spec.BPred,
-		percent: r.spec.Percent, hcfg: r.hcfg, geom: r.geom,
-		lines: lineTracker{lineMask: r.lineMask}}
-}
-
-// AdoptRegion installs a captured region log — and, when the capture was
-// sealed, its materialized plans — as if the method had observed the region
-// itself. The caller has already run BeginSkip for the region (which folded
-// predictor work and discarded the previous log), so adopting replaces the
-// empty log wholesale.
-func (r *reverse) AdoptRegion(c RegionCapture) {
-	cc := c.(*reverseCapture)
-	r.log = cc.log
-	r.lines = cc.lines
-	r.work.LoggedRecords += cc.logged
-	r.cachePlan = cc.cachePlan
-	r.predPlan = cc.predPlan
+	r.work.LoggedRecords += logged
 }
 
 func (r *reverse) EndSkip() {
 	if r.spec.Cache {
-		var st core.CacheReconStats
-		if r.cachePlan != nil {
-			st = core.ApplyCacheRecon(r.h, r.cachePlan)
-			r.cachePlan = nil
-		} else {
-			st = core.ReconstructCaches(r.h, r.log.Mem, r.spec.Percent)
-		}
+		st := core.ReconstructCaches(r.h, r.log.Mem, r.spec.Percent)
 		r.work.ReconScanned += st.ScannedRefs
 		r.work.ReconApplied += st.Applied
 	}
 	if r.spec.BPred {
-		if r.predPlan != nil {
-			r.rp.BeginRegionPlan(r.predPlan)
-			r.predPlan = nil
-		} else {
-			r.rp.BeginRegion(r.log.Branches, r.spec.Percent)
-		}
+		r.rp.BeginRegion(r.log.Branches, r.spec.Percent)
 		st := r.rp.Stats()
-		r.lastPredStats = st
 		r.work.ReconApplied += st.BTBInstalled + st.RASInstalled
 	}
 }
